@@ -46,9 +46,15 @@ a2, with the column loop fixed to ascending order:
     32  return True
 
 Verdicts carry a witness naming the return site above (tag plus line number
-and the triggering column where one exists) and recursion statistics.  The
-line-10/20 test is one shared predicate, ``has_heavy_column`` negated, since
-"every column has more zeros than ones" is exactly "no column is heavy".
+and the triggering column where one exists) and recursion statistics.
+
+``run_a1``/``run_a2`` take one validated ``BinaryMatrix``; below that root the
+recursion runs on raw rows (a sequence of row bit patterns plus the column
+count), so no frame builds or re-validates a matrix.  One pass over the rows
+forms both reductions of a column (``_split``), a2's key condition reads as
+"the 0-reduction has one row", and the line-10/20 test is one private
+predicate on raw rows, ``_has_heavy`` negated, since "every column has more
+zeros than ones" is exactly "no column is heavy".
 
 Memoized runs produce identical verdict values; the cache is private to one
 invocation and keyed on (algorithm, n, sorted row multiset, column-order
@@ -62,8 +68,12 @@ import time
 from dataclasses import dataclass, replace
 from typing import Union
 
-from .matrix import BinaryMatrix, column_weight, has_heavy_column, is_heavy
-from .structure import branch_set, reduce
+from .matrix import BinaryMatrix
+
+# The recursion calls none of these.  They stay importable under this module
+# because the benchmark's traced pass (perfbench/layers.py) wraps them here.
+from .matrix import column_weight, has_heavy_column, is_heavy  # noqa: F401
+from .structure import branch_set, reduce  # noqa: F401
 
 N1_BASE = "N1_BASE"
 M1_BASE = "M1_BASE"
@@ -193,29 +203,65 @@ class _Run:
             raise BudgetExceeded("run exceeded its wall-clock budget")
 
 
-def _a1(matrix: BinaryMatrix, depth: int, ctx: _Run) -> bool:
+def _split(rows, k: int) -> tuple[list[int], list[int]]:
+    """The 0- and 1-reduction of column k in one pass: the rows holding each
+    value there, with column k deleted (``structure.reduce`` without the
+    matrix).  An absent reduction is an empty list."""
+    bit = 1 << (k - 1)
+    low = bit - 1
+    shift = k - 1
+    sub0: list[int] = []
+    sub1: list[int] = []
+    for r in rows:
+        dropped = ((r >> k) << shift) | (r & low)
+        if r & bit:
+            sub1.append(dropped)
+        else:
+            sub0.append(dropped)
+    return sub0, sub1
+
+
+def _has_heavy(rows, n: int) -> bool:
+    """Does some column of the n-column rows have ones >= zeros?"""
+    m = len(rows)
+    bit = 1
+    for _ in range(n):
+        ones = 0
+        for r in rows:
+            if r & bit:
+                ones += 1
+        if 2 * ones >= m:
+            return True
+        bit <<= 1
+    return False
+
+
+def _a1(rows, n: int, depth: int, ctx: _Run) -> bool:
     ctx.enter(depth)
-    if matrix.n == 1:
-        value = is_heavy(matrix, 1)
+    if n == 1:
+        value = 2 * sum(rows) >= len(rows)
         if depth == 0:
             ctx.witness = (N1_BASE, 1, value)
         return value
 
     key = None
     if ctx.cache is not None:
-        key = ("a1", matrix.n, tuple(sorted(matrix.rows)), ctx.order)
+        key = ("a1", n, tuple(sorted(rows)), ctx.order)
         cached = ctx.cache.get(key)
         if cached is not None:
             ctx.cache_hits += 1
             return cached
 
     value, tag, col = True, EXHAUSTED_TRUE, None
-    for k in _order_for(ctx.order, matrix.n):
-        branches = branch_set(matrix, k).branches
-        if any(not has_heavy_column(sub) for _, sub in branches):
+    sub_n = n - 1
+    for k in _order_for(ctx.order, n):
+        sub0, sub1 = _split(rows, k)
+        if (sub0 and not _has_heavy(sub0, sub_n)) or (sub1 and not _has_heavy(sub1, sub_n)):
             value, tag, col = False, NOHEAVY_CHILD, k
             break
-        if any(not _a1(sub, depth + 1, ctx) for _, sub in branches):
+        if (sub0 and not _a1(sub0, sub_n, depth + 1, ctx)) or (
+            sub1 and not _a1(sub1, sub_n, depth + 1, ctx)
+        ):
             value, tag, col = False, CHILD_FALSE, k
             break
 
@@ -226,38 +272,39 @@ def _a1(matrix: BinaryMatrix, depth: int, ctx: _Run) -> bool:
     return value
 
 
-def _a2(matrix: BinaryMatrix, depth: int, ctx: _Run) -> bool:
+def _a2(rows, n: int, depth: int, ctx: _Run) -> bool:
     ctx.enter(depth)
-    if matrix.m == 1 and matrix.n > 1:
+    if len(rows) == 1 and n > 1:
         if depth == 0:
             ctx.witness = (M1_BASE, None, True)
         return True
-    if matrix.n == 1:
-        value = is_heavy(matrix, 1)
+    if n == 1:
+        value = 2 * sum(rows) >= len(rows)
         if depth == 0:
             ctx.witness = (N1_BASE, 1, value)
         return value
 
     key = None
     if ctx.cache is not None:
-        key = ("a2", matrix.n, tuple(sorted(matrix.rows)))
+        key = ("a2", n, tuple(sorted(rows)))
         cached = ctx.cache.get(key)
         if cached is not None:
             ctx.cache_hits += 1
             return cached
 
     value, tag, col = True, EXHAUSTED_TRUE, None
-    for k in range(1, matrix.n + 1):
-        sub0 = reduce(matrix, k, 0)
-        sub1 = reduce(matrix, k, 1)
-        if matrix.m - column_weight(matrix, k) == 1:
+    sub_n = n - 1
+    for k in range(1, n + 1):
+        sub0, sub1 = _split(rows, k)
+        if len(sub0) == 1:
             value, tag, col = True, KEY_CONDITION, k
             break
-        branches = [sub for sub in (sub0, sub1) if sub is not None]
-        if any(not has_heavy_column(sub) for sub in branches):
+        if (sub0 and not _has_heavy(sub0, sub_n)) or (sub1 and not _has_heavy(sub1, sub_n)):
             value, tag, col = False, NOHEAVY_CHILD, k
             break
-        if any(not _a2(sub, depth + 1, ctx) for sub in branches):
+        if (sub0 and not _a2(sub0, sub_n, depth + 1, ctx)) or (
+            sub1 and not _a2(sub1, sub_n, depth + 1, ctx)
+        ):
             value, tag, col = False, CHILD_FALSE, k
             break
 
@@ -292,7 +339,7 @@ def run_a1(
     _validate_order(cfg.column_order, matrix.n)
     ctx = _Run(cfg.column_order, cfg.memoize, budget_ns)
     started = time.perf_counter_ns()
-    value = _a1(matrix, 0, ctx)
+    value = _a1(matrix.rows, matrix.n, 0, ctx)
     return _finish(ctx, value, _A1_LINES, started)
 
 
@@ -305,7 +352,7 @@ def run_a2(
     """Run a2 on the matrix; the column loop is always ascending."""
     ctx = _Run(ASCENDING, memoize, budget_ns)
     started = time.perf_counter_ns()
-    value = _a2(matrix, 0, ctx)
+    value = _a2(matrix.rows, matrix.n, 0, ctx)
     return _finish(ctx, value, _A2_LINES, started)
 
 

@@ -48,6 +48,7 @@ from .verification import (
     remark_counterexamples,
     DEFAULT_PERM_BUDGET,
     DEFAULT_WITNESS_CAP,
+    MAX_WORKERS,
 )
 
 
@@ -70,7 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--m-max", type=int, default=None)
         p.add_argument("--mode", default="exhaustive",
                        help="exhaustive or random:COUNT:SEED")
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=int, default=1,
+                       help=f"scan worker processes, 1..{MAX_WORKERS}")
         p.add_argument("--witness-cap", type=int, default=DEFAULT_WITNESS_CAP)
 
     p = sub.add_parser("check", help="run a certificate procedure on one matrix")

@@ -151,11 +151,8 @@ def column_weight(matrix: BinaryMatrix, k: int) -> int:
 
 def is_heavy(matrix: BinaryMatrix, k: int) -> bool:
     """True when column k has at least as many ones as zeros."""
-    w = column_weight(matrix, k)
-    m = matrix.m
     # ones >= zeros  <=>  2*ones >= m  <=>  ones >= ceil(m/2)
-    assert (2 * w >= m) == (w >= (m + 1) // 2)
-    return 2 * w >= m
+    return 2 * column_weight(matrix, k) >= matrix.m
 
 
 def has_heavy_column(matrix: BinaryMatrix) -> bool:
@@ -180,18 +177,23 @@ def heavy_columns(matrix: BinaryMatrix) -> set[int]:
 
 
 def matrix_properties(matrix: BinaryMatrix) -> MatrixProperties:
-    """Distinctness flags and per-column weights."""
-    weights = tuple(column_weight(matrix, k) for k in range(1, matrix.n + 1))
-    columns = []
-    for shift in range(matrix.n):
-        pattern = 0
-        for i, r in enumerate(matrix.rows):
-            pattern |= ((r >> shift) & 1) << i
-        columns.append(pattern)
+    """Distinctness flags and per-column weights.
+
+    One pass over the rows builds each column's pattern (bit i-1 set when
+    row i has a one there); a column's weight is its pattern's popcount.
+    """
+    n = matrix.n
+    columns = [0] * n
+    for i, r in enumerate(matrix.rows):
+        row_bit = 1 << i
+        for shift in range(n):
+            if (r >> shift) & 1:
+                columns[shift] |= row_bit
+    weights = tuple(c.bit_count() for c in columns)
     return MatrixProperties(
         distinct_rows=len(set(matrix.rows)) == matrix.m,
-        distinct_columns=len(set(columns)) == matrix.n,
-        has_all_zero_column=any(w == 0 for w in weights),
+        distinct_columns=len(set(columns)) == n,
+        has_all_zero_column=0 in weights,
         column_weights=weights,
     )
 

@@ -47,6 +47,9 @@ EXHAUSTIVE_MAX_N = 4
 DEFAULT_WITNESS_CAP = 20
 DEFAULT_SHUFFLE_SEED = 20240801
 DEFAULT_PERM_BUDGET = 24
+# Upper bound on scan worker processes, fixed so a flag can never ask the
+# pool for an unbounded number of them.
+MAX_WORKERS = 64
 
 
 class UniverseTooLarge(ValueError):
@@ -403,10 +406,12 @@ def _run_scan(
     workers: int = 1,
     witness_cap: int = DEFAULT_WITNESS_CAP,
 ) -> ScanReport:
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ValueError(f"workers must be in 1..{MAX_WORKERS}, got {workers}")
     lo, hi = _full_range(spec)
-    chunks = _chunk_ranges(lo, hi, max(1, workers) * 4)
+    chunks = _chunk_ranges(lo, hi, workers * 4)
     tasks = [(spec, scan, params, clo, chi, witness_cap) for clo, chi in chunks]
-    if workers <= 1:
+    if workers == 1:
         partials = [_scan_chunk(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -2,6 +2,7 @@ import io
 import json
 
 from heavycol.cli import main
+from heavycol.verification import MAX_WORKERS
 
 
 def run_cli(args, stdin=None, monkeypatch=None, capsys=None):
@@ -145,6 +146,17 @@ def test_verify_random_mode(monkeypatch, capsys):
 def test_verify_exhaustive_too_large(monkeypatch, capsys):
     code, _, err = run_cli(["verify", "theorem1", "--n", "5"], None, monkeypatch, capsys)
     assert code == 2 and "UniverseTooLarge" in err
+
+
+def test_workers_out_of_range_is_usage_error(monkeypatch, capsys):
+    # validated before any pool exists, so no process is started
+    for workers in ("0", "-3", "100000"):
+        for target in (["verify", "theorem1"], ["explore", "converse"]):
+            code, out, err = run_cli(
+                target + ["--n", "2", "--workers", workers], None, monkeypatch, capsys
+            )
+            assert code == 2 and out == ""
+            assert err.count("\n") == 1 and f"workers must be in 1..{MAX_WORKERS}" in err
 
 
 def test_explore_converse(monkeypatch, capsys):

@@ -13,7 +13,8 @@ from heavycol import (
     remark_counterexamples,
     UniverseSpec,
 )
-from heavycol.verification import UniverseTooLarge
+from heavycol import verification
+from heavycol.verification import MAX_WORKERS, UniverseTooLarge
 
 
 def constrained(n, **kw):
@@ -141,6 +142,38 @@ def test_reports_deterministic_across_workers():
     ):
         docs = {make(w).to_json() for w in (1, 2)}
         assert len(docs) == 1
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records its size, starts nothing."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+def test_workers_bounded(monkeypatch):
+    monkeypatch.setattr(verification, "ProcessPoolExecutor", _SerialPool)
+    _SerialPool.sizes.clear()
+    for bad in (0, -3, MAX_WORKERS + 1, 100_000):
+        with pytest.raises(ValueError, match="workers"):
+            check_theorem1(UniverseSpec(n=2), workers=bad)
+        with pytest.raises(ValueError, match="workers"):
+            converse_scan(UniverseSpec(n=2), workers=bad)
+    assert _SerialPool.sizes == []
+    serial = check_theorem1(UniverseSpec(n=2)).to_json()
+    assert check_theorem1(UniverseSpec(n=2), workers=MAX_WORKERS).to_json() == serial
+    assert _SerialPool.sizes == [MAX_WORKERS]
 
 
 def test_witness_cap_truncates_list_not_counts():
