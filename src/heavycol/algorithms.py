@@ -48,17 +48,21 @@ a2, with the column loop fixed to ascending order:
 Verdicts carry a witness naming the return site above (tag plus line number
 and the triggering column where one exists) and recursion statistics.
 
-``run_a1``/``run_a2`` take one validated ``BinaryMatrix``; below that root the
-recursion runs on raw rows (a sequence of row bit patterns plus the column
-count), so no frame builds or re-validates a matrix.  One pass over the rows
-forms both reductions of a column (``_split``), a2's key condition reads as
-"the 0-reduction has one row", and the line-10/20 test is one private
-predicate on raw rows, ``_has_heavy`` negated, since "every column has more
-zeros than ones" is exactly "no column is heavy".
+``run_a1``/``run_a2`` take one validated ``BinaryMatrix``; below that root a
+frame is an int ``mask`` of root row positions (bit i for root row i+1) plus
+the tuple of root column patterns still present (a pattern has bit i set when
+root row i+1 has a one there).  Every step of the listings is a popcount:
+column k splits into ``m1 = mask & cols[k]`` and ``m0 = mask ^ m1``, a2's key
+condition is ``m0.bit_count() == 1``, deleting column k drops ``cols[k]``, and
+the line-10/20 test is ``_heavy`` negated ("every column has more zeros than
+ones" is exactly "no column is heavy").  No frame copies a row.  The mask
+names root positions, not row values, so duplicate rows are counted once per
+occurrence and row order plays no part, exactly as with explicit row lists.
 
 Memoized runs produce identical verdict values; the cache is private to one
-invocation and keyed on (algorithm, n, sorted row multiset, column-order
-class), which is sound because verdicts are row-permutation invariant.
+invocation and keyed on (algorithm, n, sorted multiset of the frame's rows
+projected onto its columns, column-order class), not on the mask, which is
+sound because verdicts are row-permutation invariant.
 """
 
 from __future__ import annotations
@@ -66,9 +70,11 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, replace
+from functools import lru_cache
+from itertools import compress
 from typing import Union
 
-from .matrix import BinaryMatrix
+from .matrix import BinaryMatrix, column_patterns
 
 # The recursion calls none of these.  They stay importable under this module
 # because the benchmark's traced pass (perfbench/layers.py) wraps them here.
@@ -162,11 +168,12 @@ def _validate_order(order: ColumnOrder, n: int) -> None:
         kind, arg = order
         if kind == "shuffled" and isinstance(arg, int):
             return
-        if kind == "explicit" and sorted(arg) == list(range(1, n + 1)):
+        if kind == "explicit" and isinstance(arg, tuple) and sorted(arg) == list(range(1, n + 1)):
             return
     raise ValueError(f"bad column order {order!r}")
 
 
+@lru_cache(maxsize=1024)
 def _order_for(order: ColumnOrder, n_cols: int) -> tuple[int, ...]:
     """Processing order of 1..n_cols at one recursion level."""
     if order == ASCENDING:
@@ -203,64 +210,55 @@ class _Run:
             raise BudgetExceeded("run exceeded its wall-clock budget")
 
 
-def _split(rows, k: int) -> tuple[list[int], list[int]]:
-    """The 0- and 1-reduction of column k in one pass: the rows holding each
-    value there, with column k deleted (``structure.reduce`` without the
-    matrix).  An absent reduction is an empty list."""
-    bit = 1 << (k - 1)
-    low = bit - 1
-    shift = k - 1
-    sub0: list[int] = []
-    sub1: list[int] = []
-    for r in rows:
-        dropped = ((r >> k) << shift) | (r & low)
-        if r & bit:
-            sub1.append(dropped)
-        else:
-            sub0.append(dropped)
-    return sub0, sub1
-
-
-def _has_heavy(rows, n: int) -> bool:
-    """Does some column of the n-column rows have ones >= zeros?"""
-    m = len(rows)
-    bit = 1
-    for _ in range(n):
-        ones = 0
-        for r in rows:
-            if r & bit:
-                ones += 1
-        if 2 * ones >= m:
+def _heavy(mask: int, count: int, cols) -> bool:
+    """Has some column ones in at least half of the `count` rows in `mask`?"""
+    for c in cols:
+        if 2 * (mask & c).bit_count() >= count:
             return True
-        bit <<= 1
     return False
 
 
-def _a1(rows, n: int, depth: int, ctx: _Run) -> bool:
+def _memo_rows(mask: int, cols) -> tuple[int, ...]:
+    """The frame's rows projected onto its columns, sorted: equal for frames
+    that different reduction paths reach with the same row multiset.  Reads
+    each pattern's bits off its binary string, so the cost is O(m*n)."""
+    rows = [0] * mask.bit_length()
+    for j, c in enumerate(cols):
+        for i, bit in enumerate(bin(mask & c)[:1:-1]):
+            if bit == "1":
+                rows[i] |= 1 << j
+    return tuple(sorted(compress(rows, map(int, bin(mask)[:1:-1]))))
+
+
+def _a1(mask: int, cols: tuple, depth: int, ctx: _Run) -> bool:
     ctx.enter(depth)
+    count = mask.bit_count()
+    n = len(cols)
     if n == 1:
-        value = 2 * sum(rows) >= len(rows)
+        value = _heavy(mask, count, cols)
         if depth == 0:
             ctx.witness = (N1_BASE, 1, value)
         return value
 
     key = None
     if ctx.cache is not None:
-        key = ("a1", n, tuple(sorted(rows)), ctx.order)
+        key = ("a1", n, _memo_rows(mask, cols), ctx.order)
         cached = ctx.cache.get(key)
         if cached is not None:
             ctx.cache_hits += 1
             return cached
 
     value, tag, col = True, EXHAUSTED_TRUE, None
-    sub_n = n - 1
     for k in _order_for(ctx.order, n):
-        sub0, sub1 = _split(rows, k)
-        if (sub0 and not _has_heavy(sub0, sub_n)) or (sub1 and not _has_heavy(sub1, sub_n)):
+        m1 = mask & cols[k - 1]
+        m0 = mask ^ m1
+        zeros = m0.bit_count()
+        child = cols[: k - 1] + cols[k:]
+        if (m0 and not _heavy(m0, zeros, child)) or (m1 and not _heavy(m1, count - zeros, child)):
             value, tag, col = False, NOHEAVY_CHILD, k
             break
-        if (sub0 and not _a1(sub0, sub_n, depth + 1, ctx)) or (
-            sub1 and not _a1(sub1, sub_n, depth + 1, ctx)
+        if (m0 and not _a1(m0, child, depth + 1, ctx)) or (
+            m1 and not _a1(m1, child, depth + 1, ctx)
         ):
             value, tag, col = False, CHILD_FALSE, k
             break
@@ -272,40 +270,44 @@ def _a1(rows, n: int, depth: int, ctx: _Run) -> bool:
     return value
 
 
-def _a2(rows, n: int, depth: int, ctx: _Run) -> bool:
+def _a2(mask: int, cols: tuple, depth: int, ctx: _Run) -> bool:
     ctx.enter(depth)
-    if len(rows) == 1 and n > 1:
+    count = mask.bit_count()
+    n = len(cols)
+    if count == 1 and n > 1:
         if depth == 0:
             ctx.witness = (M1_BASE, None, True)
         return True
     if n == 1:
-        value = 2 * sum(rows) >= len(rows)
+        value = _heavy(mask, count, cols)
         if depth == 0:
             ctx.witness = (N1_BASE, 1, value)
         return value
 
     key = None
     if ctx.cache is not None:
-        key = ("a2", n, tuple(sorted(rows)))
+        key = ("a2", n, _memo_rows(mask, cols))
         cached = ctx.cache.get(key)
         if cached is not None:
             ctx.cache_hits += 1
             return cached
 
     value, tag, col = True, EXHAUSTED_TRUE, None
-    sub_n = n - 1
-    for k in range(1, n + 1):
-        sub0, sub1 = _split(rows, k)
-        if len(sub0) == 1:
-            value, tag, col = True, KEY_CONDITION, k
+    for k in range(n):
+        m1 = mask & cols[k]
+        m0 = mask ^ m1
+        zeros = m0.bit_count()
+        if zeros == 1:
+            value, tag, col = True, KEY_CONDITION, k + 1
             break
-        if (sub0 and not _has_heavy(sub0, sub_n)) or (sub1 and not _has_heavy(sub1, sub_n)):
-            value, tag, col = False, NOHEAVY_CHILD, k
+        child = cols[:k] + cols[k + 1 :]
+        if (m0 and not _heavy(m0, zeros, child)) or (m1 and not _heavy(m1, count - zeros, child)):
+            value, tag, col = False, NOHEAVY_CHILD, k + 1
             break
-        if (sub0 and not _a2(sub0, sub_n, depth + 1, ctx)) or (
-            sub1 and not _a2(sub1, sub_n, depth + 1, ctx)
+        if (m0 and not _a2(m0, child, depth + 1, ctx)) or (
+            m1 and not _a2(m1, child, depth + 1, ctx)
         ):
-            value, tag, col = False, CHILD_FALSE, k
+            value, tag, col = False, CHILD_FALSE, k + 1
             break
 
     if ctx.cache is not None:
@@ -339,7 +341,7 @@ def run_a1(
     _validate_order(cfg.column_order, matrix.n)
     ctx = _Run(cfg.column_order, cfg.memoize, budget_ns)
     started = time.perf_counter_ns()
-    value = _a1(matrix.rows, matrix.n, 0, ctx)
+    value = _a1((1 << matrix.m) - 1, column_patterns(matrix.rows, matrix.n), 0, ctx)
     return _finish(ctx, value, _A1_LINES, started)
 
 
@@ -352,7 +354,7 @@ def run_a2(
     """Run a2 on the matrix; the column loop is always ascending."""
     ctx = _Run(ASCENDING, memoize, budget_ns)
     started = time.perf_counter_ns()
-    value = _a2(matrix.rows, matrix.n, 0, ctx)
+    value = _a2((1 << matrix.m) - 1, column_patterns(matrix.rows, matrix.n), 0, ctx)
     return _finish(ctx, value, _A2_LINES, started)
 
 

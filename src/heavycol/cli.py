@@ -73,7 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="exhaustive or random:COUNT:SEED")
         p.add_argument("--workers", type=int, default=1,
                        help=f"scan worker processes, 1..{MAX_WORKERS}")
-        p.add_argument("--witness-cap", type=int, default=DEFAULT_WITNESS_CAP)
+        p.add_argument("--witness-cap", type=int, default=DEFAULT_WITNESS_CAP,
+                       help="witness matrices kept per report, 0 or more")
 
     p = sub.add_parser("check", help="run a certificate procedure on one matrix")
     p.add_argument("--algo", choices=["a1", "a2"], required=True)
@@ -105,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target", choices=["converse", "order-sensitivity"])
     add_universe(p)
     p.add_argument("--perm-budget", type=int, default=DEFAULT_PERM_BUDGET,
-                   help="permutations per matrix when n! is too many")
+                   help="permutations per matrix when n! is too many, at least 1")
     add_json(p)
 
     p = sub.add_parser("bench", help="recursion growth tables and baseline comparison")
@@ -116,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=5)
     p.add_argument("--algo", choices=["a1", "a2", "both"], default="both")
     p.add_argument("--budget-ms", type=int, default=2000,
-                   help="per-run wall-clock budget; exceeded runs are marked")
+                   help="per-run wall-clock budget, positive; exceeded runs are marked")
     p.add_argument("--store", default=None, help="baseline/specimen directory")
     p.add_argument("--save", action="store_true",
                    help="growth only: store the table as the new baseline")

@@ -13,7 +13,6 @@ equivalently at least ceil(m/2) for an m-row matrix.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -176,23 +175,27 @@ def heavy_columns(matrix: BinaryMatrix) -> set[int]:
     }
 
 
-def matrix_properties(matrix: BinaryMatrix) -> MatrixProperties:
-    """Distinctness flags and per-column weights.
-
-    One pass over the rows builds each column's pattern (bit i-1 set when
-    row i has a one there); a column's weight is its pattern's popcount.
-    """
-    n = matrix.n
+def column_patterns(rows, n: int) -> tuple[int, ...]:
+    """Each column's pattern, column k at index k-1: bit i set when rows[i]
+    has a one in column k.  One pass over the rows, visiting only set bits."""
     columns = [0] * n
-    for i, r in enumerate(matrix.rows):
-        row_bit = 1 << i
-        for shift in range(n):
-            if (r >> shift) & 1:
-                columns[shift] |= row_bit
+    row_bit = 1
+    for r in rows:
+        while r:
+            low = r & -r
+            columns[low.bit_length() - 1] |= row_bit
+            r ^= low
+        row_bit <<= 1
+    return tuple(columns)
+
+
+def matrix_properties(matrix: BinaryMatrix) -> MatrixProperties:
+    """Distinctness flags and per-column weights (pattern popcounts)."""
+    columns = column_patterns(matrix.rows, matrix.n)
     weights = tuple(c.bit_count() for c in columns)
     return MatrixProperties(
         distinct_rows=len(set(matrix.rows)) == matrix.m,
-        distinct_columns=len(set(columns)) == n,
+        distinct_columns=len(set(columns)) == matrix.n,
         has_all_zero_column=0 in weights,
         column_weights=weights,
     )
@@ -257,18 +260,3 @@ def report_dict(
         },
         "stats": stats,
     }
-
-
-def serialize_report(
-    matrix: BinaryMatrix,
-    algorithm: str,
-    verdict=None,
-    heavy: set[int] | None = None,
-    properties: MatrixProperties | None = None,
-    elapsed_ns: int = 0,
-) -> str:
-    """Report as one JSON document (stable key order)."""
-    return json.dumps(
-        report_dict(matrix, algorithm, verdict, heavy, properties, elapsed_ns),
-        sort_keys=True,
-    )

@@ -189,6 +189,8 @@ def profile_family(
     `family` is "full_cube", ("random_half", seed), or "worst_found";
     n_range is any iterable of column counts.
     """
+    if budget_ns is not None and budget_ns <= 0:
+        raise ValueError(f"budget must be positive or None, got {budget_ns} ns")
     label = family_label(family)
     rows = []
     for n in n_range:

@@ -27,10 +27,12 @@ from __future__ import annotations
 import json
 import math
 import random
+from bisect import bisect_right
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import permutations
+from functools import lru_cache
+from itertools import accumulate, permutations
 from typing import Iterator
 
 from .algorithms import AlgoConfig, KEY_CONDITION, explicit_order, run_a1, run_a2
@@ -161,6 +163,12 @@ def _matrix_from_rank(rank: int, n: int) -> BinaryMatrix:
     return BinaryMatrix(rows, n)
 
 
+@lru_cache(maxsize=64)
+def _size_bounds(space: int, m_min: int, m_max: int) -> tuple[int, ...]:
+    """Running totals of the subset counts C(space, m) for m from m_min up."""
+    return tuple(accumulate(math.comb(space, m) for m in range(m_min, min(m_max, space) + 1)))
+
+
 def _draw_random(spec: UniverseSpec, index: int) -> BinaryMatrix:
     """Uniform member of the constrained family, derived from (seed, index).
 
@@ -169,15 +177,9 @@ def _draw_random(spec: UniverseSpec, index: int) -> BinaryMatrix:
     """
     rng = random.Random(f"{spec.seed}:{index}")
     space = 2**spec.n
-    sizes = range(spec.m_min, min(spec.m_max, space) + 1)
-    weights = [math.comb(space, m) for m in sizes]
-    total = sum(weights)
+    bounds = _size_bounds(space, spec.m_min, spec.m_max)
     for _ in range(100_000):
-        pick = rng.randrange(total)
-        for m, w in zip(sizes, weights):
-            if pick < w:
-                break
-            pick -= w
+        m = spec.m_min + bisect_right(bounds, rng.randrange(bounds[-1]))
         rows = tuple(sorted(rng.sample(range(space), m)))
         matrix = BinaryMatrix(rows, spec.n)
         if _passes_constraints(spec, matrix):
@@ -408,6 +410,8 @@ def _run_scan(
 ) -> ScanReport:
     if not 1 <= workers <= MAX_WORKERS:
         raise ValueError(f"workers must be in 1..{MAX_WORKERS}, got {workers}")
+    if witness_cap < 0:
+        raise ValueError(f"witness cap must be at least 0, got {witness_cap}")
     lo, hi = _full_range(spec)
     chunks = _chunk_ranges(lo, hi, workers * 4)
     tasks = [(spec, scan, params, clo, chi, witness_cap) for clo, chi in chunks]
@@ -519,5 +523,7 @@ def order_sensitivity_scan(
     `perm_budget` otherwise.  a1 mismatches are violations; a2 sensitivity
     is tallied without judgement.
     """
+    if perm_budget < 1:
+        raise ValueError(f"perm budget must be at least 1, got {perm_budget}")
     params = {"perm_budget": perm_budget, "perm_seed": perm_seed}
     return _run_scan(spec, "order_sensitivity", params, workers, witness_cap)

@@ -159,6 +159,38 @@ def test_workers_out_of_range_is_usage_error(monkeypatch, capsys):
             assert err.count("\n") == 1 and f"workers must be in 1..{MAX_WORKERS}" in err
 
 
+def test_negative_witness_cap_is_usage_error(monkeypatch, capsys):
+    # a negative cap used to run the scan and print an empty witness list
+    for target in (["verify", "theorem1"], ["explore", "converse"]):
+        code, out, err = run_cli(
+            target + ["--n", "2", "--witness-cap", "-5", "--json"], None, monkeypatch, capsys
+        )
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "witness cap must be at least 0" in err
+
+
+def test_nonpositive_budget_is_usage_error(monkeypatch, capsys):
+    # a budget of 0 or less used to time out every row and still exit 0
+    for budget in ("-1", "0"):
+        code, out, err = run_cli(
+            ["bench", "growth", "--n-max", "2", "--budget-ms", budget], None, monkeypatch, capsys
+        )
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "budget must be positive" in err
+
+
+def test_perm_budget_below_one_is_usage_error(monkeypatch, capsys):
+    # --perm-budget 0 used to check no permutation at all and report a clean scan
+    for budget in ("0", "-2"):
+        code, out, err = run_cli(
+            ["explore", "order-sensitivity", "--n", "5", "--mode", "random:20:1",
+             "--perm-budget", budget, "--json"],
+            None, monkeypatch, capsys,
+        )
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "perm budget must be at least 1" in err
+
+
 def test_explore_converse(monkeypatch, capsys):
     code, out, _ = run_cli(
         ["explore", "converse", "--n", "2", "--json"], None, monkeypatch, capsys

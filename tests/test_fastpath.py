@@ -1,6 +1,7 @@
-"""Differential test: the raw-row recursion against the listings over matrices.
+"""Differential test: the mask recursion against the listings over matrices.
 
-`run_a1`/`run_a2` recurse on raw row bit patterns below a validated root.
+`run_a1`/`run_a2` recurse on a bitmask of root rows over the root's column
+patterns below a validated root.
 The reference here transcribes the two listings over `BinaryMatrix` with the
 library's own matrix primitives (`branch_set`, `reduce`, `has_heavy_column`,
 `is_heavy`, `column_weight`), one validated matrix per frame.  Both must agree
@@ -9,10 +10,11 @@ on the verdict, the witness (tag, column, line) and the recursion statistics
 """
 
 import random
+from itertools import permutations
 
 import pytest
 
-from heavycol import AlgoConfig, BinaryMatrix, enumerate_universe, UniverseSpec
+from heavycol import AlgoConfig, BinaryMatrix, enumerate_universe, parse_matrix, UniverseSpec
 from heavycol.algorithms import (
     ASCENDING,
     CHILD_FALSE,
@@ -24,6 +26,7 @@ from heavycol.algorithms import (
     _A1_LINES,
     _A2_LINES,
     _order_for,
+    explicit_order,
     run_a1,
     run_a2,
     shuffled_order,
@@ -185,3 +188,89 @@ def test_duplicate_rows_and_row_order():
     assert _mismatches(matrices, PLAIN_AND_MEMO) == []
     wide = [m for m in matrices if m.n == 4]
     assert wide and _mismatches(wide, explicit) == []
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a1_every_explicit_order(n):
+    universe = list(enumerate_universe(UniverseSpec(n=n)))
+    runs = [
+        ("a1", explicit_order(perm), memo)
+        for perm in permutations(range(1, n + 1))
+        for memo in (False, True)
+    ]
+    assert _mismatches(universe, runs) == []
+
+
+def _up_closure(generators, n):
+    rows = set()
+    for g in generators:
+        free = [1 << b for b in range(n) if not g >> b & 1]
+        for pick in range(1 << len(free)):
+            rows.add(g | sum(bit for j, bit in enumerate(free) if pick >> j & 1))
+    return sorted(rows)
+
+
+def test_wide_and_tall_matrices_with_duplicates():
+    # more than 64 rows, so every root mask is wider than a machine word;
+    # half are drawn from a few distinct rows, half from up-closures (plus
+    # one stray row), which recurse deeper before an exit
+    rng = random.Random(23)
+    matrices = []
+    for i in range(60):
+        if i % 2:
+            n = rng.randint(5, 7)
+            pool = _up_closure([rng.randrange(2**n) for _ in range(rng.randint(1, 3))], n)
+            pool.append(rng.randrange(2**n))
+        else:
+            n = rng.randint(5, 10)
+            pool = [rng.randrange(2**n) for _ in range(rng.randint(2, 40))]
+        rows = tuple(rng.choice(pool) for _ in range(rng.randint(65, 200)))
+        matrices.append(BinaryMatrix(rows, n))
+    assert min(m.m for m in matrices) > 64
+    assert any(len(set(m.rows)) < m.m for m in matrices)
+    assert _mismatches(matrices, PLAIN_AND_MEMO) == []
+
+
+def test_memo_key_is_the_projected_row_multiset():
+    # the 0-reductions of columns 1 and 2 keep different root rows (011 and
+    # 101) but both project to the one row 11; likewise their 1-reductions,
+    # and column 3's.  A cache keyed on the root-row mask would hit nothing.
+    matrix = parse_matrix("011\n101\n110\n111")
+    zero_in = [{i for i, r in enumerate(matrix.rows) if not r >> (k - 1) & 1} for k in (1, 2, 3)]
+    assert len({frozenset(z) for z in zero_in}) == 3
+    assert reduce(matrix, 1, 0).rows == reduce(matrix, 2, 0).rows == reduce(matrix, 3, 0).rows
+    assert sorted(reduce(matrix, 1, 1).rows) == sorted(reduce(matrix, 2, 1).rows)
+
+    memo = _fast("a1", matrix, memoize=True)
+    assert memo == _reference("a1", matrix, memoize=True)
+    assert memo[:2] == (True, EXHAUSTED_TRUE)
+    # the root computes column 1's children {11} (3 calls) and {01, 10, 11}
+    # (5 calls); the four children of columns 2 and 3 are one-call hits
+    assert memo[4:] == (1 + 3 + 5 + 4, 2, 4)
+    assert _fast("a1", matrix)[4] == 1 + 3 * (3 + 5)
+
+
+def test_full_cube_growth_follows_its_recurrences():
+    # Every reduction of the n-cube, on any column and either value, is the
+    # (n-1)-cube, and every cube column is heavy.  So no exit fires early (the
+    # key condition needs one zero, a cube column has 2^(n-1)), every frame
+    # visits all 2n children, and both procedures count alike:
+    #   plain:     c(1) = 1, c(n) = 1 + 2n c(n-1);
+    #   memoized:  the first child computes the (n-1)-cube and the other 2n-1
+    #              are cache hits, except that n = 1 frames return before the
+    #              cache lookup; so M(n) = M(n-1) + 2n = n(n+1) - 1, with
+    #              hits h(2) = 0, h(n) = h(n-1) + 2n - 1;
+    #   depth:     one level per deleted column, n - 1.
+    plain, hits = 1, 0
+    for n in range(1, 8):
+        if n > 1:
+            plain = 1 + 2 * n * plain
+        if n > 2:
+            hits += 2 * n - 1
+        cube = BinaryMatrix(tuple(range(2**n)), n)
+        for algo in ("a1", "a2"):
+            got = _fast(algo, cube)
+            assert got[:2] == (True, N1_BASE if n == 1 else EXHAUSTED_TRUE)
+            assert got[4:] == (plain, n - 1, 0)
+            assert _fast(algo, cube, memoize=True)[4:] == (n * (n + 1) - 1, n - 1, hits)
+    assert plain == 418_503

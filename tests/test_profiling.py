@@ -60,6 +60,14 @@ def test_range_validation():
         profile_family("full_cube", [11])
 
 
+def test_budget_must_be_positive():
+    # a budget of 0 or less would time out every row before its first frame
+    for budget in (0, -1_000_000):
+        with pytest.raises(ValueError, match="budget must be positive"):
+            profile_family("full_cube", [1], budget_ns=budget)
+    assert profile_family("full_cube", [1], budget_ns=None).rows[0].calls == 1
+
+
 def test_timeout_marks_row_and_keeps_table():
     table = profile_family("full_cube", [8], algos=("a1",), budget_ns=20_000_000)
     row = table.key_map()[("full_cube", 8, "a1", "plain")]

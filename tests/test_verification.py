@@ -192,6 +192,56 @@ def test_witness_cap_commutes_with_partitioning():
     assert len(docs) == 1
 
 
+def test_negative_witness_cap_rejected():
+    with pytest.raises(ValueError, match="witness cap"):
+        check_theorem1(UniverseSpec(n=2), witness_cap=-1)
+    with pytest.raises(ValueError, match="witness cap"):
+        converse_scan(UniverseSpec(n=2), workers=2, witness_cap=-5)
+    # 0 is valid: exact tallies, no witness matrices
+    report = converse_scan(UniverseSpec(n=2), witness_cap=0)
+    assert report.violations == () and report.tallies == converse_scan(UniverseSpec(n=2)).tallies
+
+
+def test_perm_budget_below_one_rejected():
+    # with no permutation to try, every matrix would count as order-stable
+    spec = UniverseSpec(n=5, mode="random", samples=3, seed=1)
+    for budget in (0, -2):
+        with pytest.raises(ValueError, match="perm budget"):
+            order_sensitivity_scan(spec, perm_budget=budget)
+    assert order_sensitivity_scan(spec, perm_budget=1).tested == 3
+
+
+def _draw_linear(spec, index):
+    # the size pick as a linear walk over freshly computed subset counts
+    import math
+    import random
+
+    rng = random.Random(f"{spec.seed}:{index}")
+    space = 2**spec.n
+    sizes = range(spec.m_min, min(spec.m_max, space) + 1)
+    weights = [math.comb(space, m) for m in sizes]
+    while True:
+        pick = rng.randrange(sum(weights))
+        for m, w in zip(sizes, weights):
+            if pick < w:
+                break
+            pick -= w
+        rows = tuple(sorted(rng.sample(range(space), m)))
+        if verification._passes_constraints(spec, verification.BinaryMatrix(rows, spec.n)):
+            return rows
+
+
+@pytest.mark.parametrize("spec", [
+    UniverseSpec(n=6, mode="random", samples=200, seed=7),
+    UniverseSpec(n=5, m_min=3, m_max=9, mode="random", samples=200, seed=2),
+    constrained(4, mode="random", samples=200, seed=11),
+])
+def test_random_draws_keep_their_stream(spec):
+    # cached running totals must pick the same size with the same RNG calls
+    for index in range(spec.samples):
+        assert verification._draw_random(spec, index).rows == _draw_linear(spec, index)
+
+
 def test_chunk_ranges_partition_exactly():
     from heavycol.verification import _chunk_ranges
 
