@@ -69,7 +69,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 from typing import Union
@@ -124,17 +124,6 @@ def explicit_order(perm) -> tuple:
     """Column-order spec: a fixed permutation of the root columns; deeper
     levels use the relative order it induces on their smaller index range."""
     return ("explicit", tuple(perm))
-
-
-@dataclass(frozen=True)
-class AlgoConfig:
-    """Run options: a1's column-processing order, and memoization.
-
-    a2 ignores column_order; its loop order is part of the procedure.
-    """
-
-    column_order: ColumnOrder = ASCENDING
-    memoize: bool = False
 
 
 @dataclass(frozen=True)
@@ -332,14 +321,14 @@ def _finish(ctx: _Run, value: bool, lines: dict, started_ns: int) -> Verdict:
 
 def run_a1(
     matrix: BinaryMatrix,
-    config: AlgoConfig | None = None,
     *,
+    order: ColumnOrder = ASCENDING,
+    memoize: bool = False,
     budget_ns: int | None = None,
 ) -> Verdict:
-    """Run a1 on the matrix under the given configuration."""
-    cfg = config or AlgoConfig()
-    _validate_order(cfg.column_order, matrix.n)
-    ctx = _Run(cfg.column_order, cfg.memoize, budget_ns)
+    """Run a1 on the matrix, its column loop in the given order."""
+    _validate_order(order, matrix.n)
+    ctx = _Run(order, memoize, budget_ns)
     started = time.perf_counter_ns()
     value = _a1((1 << matrix.m) - 1, column_patterns(matrix.rows, matrix.n), 0, ctx)
     return _finish(ctx, value, _A1_LINES, started)
@@ -358,17 +347,9 @@ def run_a2(
     return _finish(ctx, value, _A2_LINES, started)
 
 
-def run_memoized(
-    algo: str,
-    matrix: BinaryMatrix,
-    config: AlgoConfig | None = None,
-    *,
-    budget_ns: int | None = None,
-) -> Verdict:
+def run_memoized(algo: str, matrix: BinaryMatrix, *, budget_ns: int | None = None) -> Verdict:
     """Memoized variant of either procedure; verdict values never change."""
-    if algo == "a1":
-        cfg = replace(config or AlgoConfig(), memoize=True)
-        return run_a1(matrix, cfg, budget_ns=budget_ns)
-    if algo == "a2":
-        return run_a2(matrix, memoize=True, budget_ns=budget_ns)
-    raise ValueError(f"unknown algorithm {algo!r}")
+    if algo not in ("a1", "a2"):
+        raise ValueError(f"unknown algorithm {algo!r}")
+    run = run_a1 if algo == "a1" else run_a2
+    return run(matrix, memoize=True, budget_ns=budget_ns)

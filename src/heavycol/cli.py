@@ -15,9 +15,10 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
-from .algorithms import ASCENDING, AlgoConfig, run_a1, run_a2, shuffled_order
+from .algorithms import ASCENDING, RecursionStats, Verdict, run_a1, run_a2, shuffled_order
 from .matrix import (
     BinaryMatrix,
     MatrixError,
@@ -25,7 +26,6 @@ from .matrix import (
     matrix_properties,
     matrix_to_text,
     parse_matrix,
-    report_dict,
 )
 from .structure import conjugate_of, find_unpaired, sequential_reduction
 from .profiling import (
@@ -126,6 +126,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def to_json(doc) -> str:
+    """The one serializer: every --json document, dataclasses as their fields."""
+    return json.dumps(doc, sort_keys=True, default=asdict)
+
+
+def report_dict(
+    matrix: BinaryMatrix,
+    algorithm: str,
+    verdict: Verdict | None = None,
+    heavy: set[int] | None = None,
+    elapsed_ns: int = 0,
+) -> dict:
+    """The check/oracle/analyze report; no verdict means an oracle-only one."""
+    props = matrix_properties(matrix)
+    w = None if verdict is None else verdict.witness
+    stats = RecursionStats(0, 0, 0, elapsed_ns) if verdict is None else verdict.stats
+    return {
+        "m": matrix.m,
+        "n": matrix.n,
+        "algorithm": algorithm,
+        "verdict": None if verdict is None else verdict.value,
+        "heavy_columns": sorted(heavy_columns(matrix) if heavy is None else heavy),
+        "witness": None if w is None else {"line": w.line, "column": w.column},
+        "preconditions": {
+            "distinct_rows": props.distinct_rows,
+            "distinct_columns": props.distinct_columns,
+            "all_zero_column": props.has_all_zero_column,
+        },
+        "stats": asdict(stats),
+    }
+
+
 def _read_matrix(source: str) -> BinaryMatrix:
     text = sys.stdin.read() if source == "-" else Path(source).read_text()
     return parse_matrix(text)
@@ -190,10 +222,10 @@ def _cmd_check(args) -> int:
             return 2
         verdict = run_a2(matrix, memoize=args.memo)
     else:
-        verdict = run_a1(matrix, AlgoConfig(column_order=order, memoize=args.memo))
+        verdict = run_a1(matrix, order=order, memoize=args.memo)
     doc = report_dict(matrix, args.algo, verdict)
     if args.json:
-        print(json.dumps(doc, sort_keys=True))
+        print(to_json(doc))
     else:
         _print_check_human(doc, verdict.witness.tag)
     return 0
@@ -206,7 +238,7 @@ def _cmd_oracle(args) -> int:
     elapsed = time.perf_counter_ns() - started
     doc = report_dict(matrix, "oracle", heavy=heavy, elapsed_ns=elapsed)
     if args.json:
-        print(json.dumps(doc, sort_keys=True))
+        print(to_json(doc))
     else:
         _print_check_human(doc, None)
     return 0
@@ -214,8 +246,16 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_analyze(args) -> int:
     matrix = _read_matrix(args.input)
+    trace = None
+    if args.trace_at:
+        # parsed and range-checked before anything is printed
+        try:
+            i, l = map(int, args.trace_at.split(":"))
+        except ValueError:
+            raise ValueError(f"bad --trace-at {args.trace_at!r}; use ROW:COL") from None
+        trace = sequential_reduction(matrix, i, l)
     if args.json:
-        print(json.dumps(report_dict(matrix, "oracle"), sort_keys=True))
+        print(to_json(report_dict(matrix, "oracle")))
         return 0
     props = matrix_properties(matrix)
     print(f"matrix: {matrix.m} x {matrix.n}")
@@ -240,16 +280,14 @@ def _cmd_analyze(args) -> int:
         print("unpaired witness: none (every zero entry is paired)")
     else:
         print(f"unpaired witness: row {pair[0]}, column {pair[1]}")
-    if args.trace or args.trace_at:
-        if args.trace_at:
-            i, l = (int(x) for x in args.trace_at.split(":"))
-        else:
-            if pair is None:
-                print("trace: skipped, no unpaired witness; use --trace-at ROW:COL")
-                return 0
-            i, l = pair
-        trace = sequential_reduction(matrix, i, l)
-        print(f"sequential reduction at row {i}, preserving column {l}:")
+    if args.trace and trace is None:
+        if pair is None:
+            print("trace: skipped, no unpaired witness; use --trace-at ROW:COL")
+            return 0
+        trace = sequential_reduction(matrix, *pair)
+    if trace is not None:
+        print(f"sequential reduction at row {trace.source_row_index}, "
+              f"preserving column {trace.preserved_column}:")
         print("  step  column  value  survivors")
         for s, (k, b, left) in enumerate(trace.steps, start=1):
             print(f"  {s:>4}  {k:>6}  {b:>5}  {left:>9}")
@@ -290,16 +328,13 @@ def _print_scan_human(name: str, report: ScanReport) -> None:
 
 def _cmd_verify(args) -> int:
     targets = _VERIFY_TARGETS if args.target == "all" else (args.target,)
-    reports = [(t, _run_verify_target(t, args)) for t in targets]
+    reports = [_run_verify_target(t, args) for t in targets]
     if args.json:
-        if len(reports) == 1:
-            print(reports[0][1].to_json())
-        else:
-            print(json.dumps([r.to_dict() for _, r in reports], sort_keys=True))
+        print(to_json(reports if args.target == "all" else reports[0]))
     else:
-        for name, report in reports:
+        for name, report in zip(targets, reports):
             _print_scan_human(name, report)
-    return 1 if any(r.violation_count for _, r in reports) else 0
+    return 1 if any(r.violation_count for r in reports) else 0
 
 
 def _cmd_explore(args) -> int:
@@ -315,7 +350,7 @@ def _cmd_explore(args) -> int:
             witness_cap=args.witness_cap,
         )
     if args.json:
-        print(report.to_json())
+        print(to_json(report))
     else:
         _print_scan_human(args.target, report)
     return 1 if report.violation_count else 0
@@ -347,7 +382,7 @@ def _cmd_bench(args) -> int:
             path = save_baseline(table, store, family, n_range, algos)
             print(f"baseline written: {path}", file=sys.stderr)
         if args.json:
-            print(table.to_json())
+            print(to_json(table))
         else:
             sys.stdout.write(table.to_csv())
         return 0
@@ -356,7 +391,7 @@ def _cmd_bench(args) -> int:
     baseline = load_baseline(store, family, n_range, algos)
     diff = snapshot_compare(table, baseline)
     if args.json:
-        print(json.dumps(diff.to_dict(), sort_keys=True))
+        print(to_json({**asdict(diff), "clean": diff.clean}))
     else:
         for e in diff.behavioral:
             print(f"behavioral: {e.key} {e.field}: {e.baseline} -> {e.current}")

@@ -214,49 +214,3 @@ def permute_columns(matrix: BinaryMatrix, perm: Iterable[int]) -> BinaryMatrix:
         rows.append(bits)
     return BinaryMatrix(tuple(rows), matrix.n)
 
-
-def report_dict(
-    matrix: BinaryMatrix,
-    algorithm: str,
-    verdict=None,
-    heavy: set[int] | None = None,
-    properties: MatrixProperties | None = None,
-    elapsed_ns: int = 0,
-) -> dict:
-    """Assemble the report structure shared by the CLI's check/oracle output.
-
-    `verdict` is duck-typed (value/witness/stats) so algorithm runs can be
-    attached without an import cycle; None means an oracle-only report.
-    """
-    if heavy is None:
-        heavy = heavy_columns(matrix)
-    if properties is None:
-        properties = matrix_properties(matrix)
-    if verdict is None:
-        value = None
-        witness = None
-        stats = {"calls": 0, "max_depth": 0, "cache_hits": 0, "elapsed_ns": elapsed_ns}
-    else:
-        value = verdict.value
-        w = verdict.witness
-        witness = None if w is None else {"line": w.line, "column": w.column}
-        stats = {
-            "calls": verdict.stats.calls,
-            "max_depth": verdict.stats.max_depth,
-            "cache_hits": verdict.stats.cache_hits,
-            "elapsed_ns": verdict.stats.elapsed_ns,
-        }
-    return {
-        "m": matrix.m,
-        "n": matrix.n,
-        "algorithm": algorithm,
-        "verdict": value,
-        "heavy_columns": sorted(heavy),
-        "witness": witness,
-        "preconditions": {
-            "distinct_rows": properties.distinct_rows,
-            "distinct_columns": properties.distinct_columns,
-            "all_zero_column": properties.has_all_zero_column,
-        },
-        "stats": stats,
-    }

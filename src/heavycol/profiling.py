@@ -1,7 +1,7 @@
 """Recursion-cost measurement for the certificate procedures.
 
 Growth tables record exact call counts for plain and memoized runs across
-matrix families; counts are a pure function of (algorithm, matrix, config),
+matrix families; counts are a pure function of (algorithm, matrix, variant),
 so they double as behavioral regression gates.  Wall times are carried for
 context but never asserted.
 
@@ -20,16 +20,14 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-import json
 import random
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 from .algorithms import BudgetExceeded, run_a1, run_a2, run_memoized
 from .matrix import BinaryMatrix, matrix_to_text, parse_matrix
 from .verification import UniverseSpec, enumerate_universe
 
-CSV_HEADER = ["n", "family", "m", "algo", "variant", "calls", "cache_hits", "max_depth", "elapsed_ns"]
 DEFAULT_BUDGET_NS = 2_000_000_000
 
 FULL_CUBE_MAX_N = 10
@@ -62,6 +60,11 @@ class GrowthRow:
         return (self.family, self.n, self.algo, self.variant)
 
 
+# The CSV columns are GrowthRow's fields in declaration order; an empty cell
+# is a None metric.
+CSV_HEADER = [f.name for f in fields(GrowthRow)]
+
+
 @dataclass(frozen=True)
 class GrowthTable:
     rows: tuple[GrowthRow, ...]
@@ -70,14 +73,7 @@ class GrowthTable:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        for r in self.rows:
-            writer.writerow([
-                r.n, r.family, r.m, r.algo, r.variant,
-                "" if r.calls is None else r.calls,
-                "" if r.cache_hits is None else r.cache_hits,
-                "" if r.max_depth is None else r.max_depth,
-                "" if r.elapsed_ns is None else r.elapsed_ns,
-            ])
+        writer.writerows(astuple(r) for r in self.rows)
         return buf.getvalue()
 
     @classmethod
@@ -88,34 +84,15 @@ class GrowthTable:
             raise ValueError(f"unexpected growth CSV header: {header}")
         rows = []
         for rec in reader:
-            if not rec:
-                continue
-            n, family, m, algo, variant, calls, hits, depth, elapsed = rec
-            rows.append(GrowthRow(
-                n=int(n), family=family, m=int(m), algo=algo, variant=variant,
-                calls=int(calls) if calls else None,
-                cache_hits=int(hits) if hits else None,
-                max_depth=int(depth) if depth else None,
-                elapsed_ns=int(elapsed) if elapsed else None,
-            ))
+            if rec:
+                rows.append(GrowthRow(*(
+                    cell if f.type == "str" else int(cell) if cell or f.type == "int" else None
+                    for f, cell in zip(fields(GrowthRow), rec, strict=True)
+                )))
         return cls(tuple(rows))
-
-    def to_dict(self) -> dict:
-        return {"rows": [vars_row(r) for r in self.rows]}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
     def key_map(self) -> dict[tuple, GrowthRow]:
         return {r.key(): r for r in self.rows}
-
-
-def vars_row(r: GrowthRow) -> dict:
-    return {
-        "n": r.n, "family": r.family, "m": r.m, "algo": r.algo, "variant": r.variant,
-        "calls": r.calls, "cache_hits": r.cache_hits,
-        "max_depth": r.max_depth, "elapsed_ns": r.elapsed_ns,
-    }
 
 
 def family_label(family) -> str:
@@ -191,23 +168,21 @@ def profile_family(
     """
     if budget_ns is not None and budget_ns <= 0:
         raise ValueError(f"budget must be positive or None, got {budget_ns} ns")
+    ns = tuple(n_range)
+    if not ns:
+        raise ValueError(f"empty column-count range {n_range!r}")
     label = family_label(family)
     rows = []
-    for n in n_range:
+    for n in ns:
         cap = FULL_CUBE_MAX_N if family == "full_cube" else OTHER_MAX_N
         if not 1 <= n <= cap:
             raise ValueError(f"n={n} outside 1..{cap} for family {label}")
         for algo in algos:
             matrix = _family_matrix(family, n, algo, store)
             for variant, memoize in (("plain", False), ("memoized", True)):
-                stats = _measure(algo, matrix, memoize, budget_ns)
-                if stats is None:
-                    rows.append(GrowthRow(n, label, matrix.m, algo, variant,
-                                          None, None, None, None))
-                else:
-                    rows.append(GrowthRow(n, label, matrix.m, algo, variant,
-                                          stats.calls, stats.cache_hits,
-                                          stats.max_depth, stats.elapsed_ns))
+                s = _measure(algo, matrix, memoize, budget_ns)
+                metrics = (None,) * 4 if s is None else (s.calls, s.cache_hits, s.max_depth, s.elapsed_ns)
+                rows.append(GrowthRow(n, label, matrix.m, algo, variant, *metrics))
     return GrowthTable(tuple(rows))
 
 
@@ -256,19 +231,6 @@ class DiffReport:
     @property
     def clean(self) -> bool:
         return not self.behavioral
-
-    def to_dict(self) -> dict:
-        def entries(items):
-            return [
-                {"key": list(e.key), "field": e.field,
-                 "baseline": e.baseline, "current": e.current}
-                for e in items
-            ]
-        return {
-            "behavioral": entries(self.behavioral),
-            "informational": entries(self.informational),
-            "clean": self.clean,
-        }
 
 
 _BEHAVIORAL_FIELDS = ("m", "calls", "cache_hits", "max_depth")

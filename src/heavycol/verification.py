@@ -24,7 +24,6 @@ merged in rank order, and witness caps commute with that merge.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from bisect import bisect_right
@@ -35,7 +34,7 @@ from functools import lru_cache
 from itertools import accumulate, permutations
 from typing import Iterator
 
-from .algorithms import AlgoConfig, KEY_CONDITION, explicit_order, run_a1, run_a2
+from .algorithms import KEY_CONDITION, explicit_order, run_a1, run_a2
 from .matrix import (
     BinaryMatrix,
     heavy_columns,
@@ -98,18 +97,6 @@ class UniverseSpec:
         elif self.mode != "fixed":
             raise ValueError(f"unknown mode {self.mode!r}")
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m_min": self.m_min,
-            "m_max": self.m_max,
-            "require_distinct_columns": self.require_distinct_columns,
-            "forbid_all_zero_column": self.forbid_all_zero_column,
-            "mode": self.mode,
-            "samples": self.samples,
-            "seed": self.seed,
-        }
-
 
 @dataclass(frozen=True)
 class ScanWitness:
@@ -133,17 +120,6 @@ class ScanReport:
     @property
     def violation_count(self) -> int:
         return self.tallies.get("violations", 0)
-
-    def to_dict(self) -> dict:
-        return {
-            "spec": self.spec.to_dict(),
-            "tested": self.tested,
-            "tallies": dict(sorted(self.tallies.items())),
-            "violations": [{"matrix": w.matrix, "property": w.property} for w in self.violations],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def _passes_constraints(spec: UniverseSpec, matrix: BinaryMatrix) -> bool:
@@ -325,10 +301,7 @@ def _inspect_order_sensitivity(matrix: BinaryMatrix, params: dict):
     names = []
     cases = []
     base_a1 = run_a1(matrix).value
-    if any(
-        run_a1(matrix, AlgoConfig(column_order=explicit_order(p))).value != base_a1
-        for p in perms
-    ):
+    if any(run_a1(matrix, order=explicit_order(p)).value != base_a1 for p in perms):
         names += ["a1_order_mismatch", "violations"]
         cases.append(ScanWitness(matrix_to_text(matrix), "a1_order_mismatch"))
     base_a2 = run_a2(matrix).value

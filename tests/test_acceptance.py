@@ -18,7 +18,6 @@ import math
 import random
 
 from heavycol import (
-    AlgoConfig,
     BinaryMatrix,
     UniverseSpec,
     check_lemma1,
@@ -37,6 +36,7 @@ from heavycol import (
     run_memoized,
 )
 from heavycol.algorithms import KEY_CONDITION, shuffled_order
+from heavycol.cli import to_json
 
 EXHAUSTIVE_SIZES = {1: 3, 2: 15, 3: 255, 4: 65535}
 # Sizes of the constrained universes: distinct columns, no all-zero column.
@@ -68,14 +68,36 @@ def _random_batch(total: int, seed: int, max_n: int = 6, m_max: int | None = Non
         yield from enumerate_universe(spec)
 
 
+def _up_set_count(n: int) -> int:
+    """M(n), the number of up-sets of {0,1}^n (the empty one included).
+
+    A subset S of the 2^n points, held as a 2^n-bit int, is an up-set when
+    every member v with a 0 at bit k has v | 2^k in S too; shifting the
+    members with bit k clear left by 2^k lands on exactly those points.
+    """
+    points = range(2**n)
+    clear = [sum(1 << v for v in points if not v >> k & 1) for k in range(n)]
+    return sum(
+        all(not ((s & clear[k]) << (1 << k)) & ~s for k in range(n))
+        for s in range(2 ** (2**n))
+    )
+
+
 def test_criterion_1_theorem1_exhaustive():
+    # a1 accepts exactly the up-closed row sets, so its True tally is the
+    # number of nonempty up-sets: M(n) - 1
     details = []
     ok = True
     for n, size in EXHAUSTIVE_SIZES.items():
         report = check_theorem1(UniverseSpec(n=n))
-        details.append(f"n={n} tested={report.tested} violations={report.violation_count}")
+        up_sets = _up_set_count(n) - 1
+        details.append(
+            f"n={n} tested={report.tested} violations={report.violation_count} "
+            f"a1_true={report.tallies['a1_true']} nonempty_up_sets={up_sets}"
+        )
         ok = ok and report.tested == size and report.violation_count == 0
-    _report("1 (a1 guarantee, exhaustive n<=4)", ok, "; ".join(details))
+        ok = ok and report.tallies["a1_true"] == up_sets
+    _report("1 (a1 guarantee, exhaustive n<=4; a1 True exactly on up-sets)", ok, "; ".join(details))
 
 
 def _four_cycle_matrices() -> set[frozenset[str]]:
@@ -214,8 +236,7 @@ def test_criterion_7_invariance_suite():
             ):
                 mismatches += 1
         for seed in order_seeds:
-            cfg = AlgoConfig(column_order=shuffled_order(seed))
-            if run_a1(matrix, cfg).value != base_a1:
+            if run_a1(matrix, order=shuffled_order(seed)).value != base_a1:
                 mismatches += 1
     _report(
         "7 (row-shuffle and a1-order invariance, 1000 random)",
@@ -273,7 +294,7 @@ def test_criterion_10_determinism_across_workers():
     ]
     diverging = []
     for name, make in scans:
-        docs = {make(w).to_json() for w in (1, 4, 8)}
+        docs = {to_json(make(w)) for w in (1, 4, 8)}
         if len(docs) != 1:
             diverging.append(name)
     _report(

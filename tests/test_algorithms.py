@@ -1,9 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from heavycol import (
-    AlgoConfig,
     BinaryMatrix,
+    UniverseSpec,
+    enumerate_universe,
     heavy_columns,
     is_heavy,
     parse_matrix,
@@ -118,9 +121,9 @@ def test_run_memoized_rejects_unknown_algo():
 
 def test_order_validation():
     with pytest.raises(ValueError):
-        run_a1(CUBE3, AlgoConfig(column_order=("explicit", (1, 2))))
+        run_a1(CUBE3, order=("explicit", (1, 2)))
     with pytest.raises(ValueError):
-        run_a1(CUBE3, AlgoConfig(column_order="downhill"))
+        run_a1(CUBE3, order="downhill")
 
 
 def test_budget_exceeded():
@@ -141,7 +144,7 @@ def test_row_permutation_invariance(m, seed):
 @settings(max_examples=60, deadline=None)
 def test_a1_order_invariance(m, seed):
     base = run_a1(m).value
-    assert run_a1(m, AlgoConfig(column_order=shuffled_order(seed))).value == base
+    assert run_a1(m, order=shuffled_order(seed)).value == base
 
 
 @given(matrices(max_n=4, max_m=8))
@@ -186,8 +189,21 @@ def test_explicit_order_runs_every_permutation():
     from itertools import permutations
 
     m = parse_matrix("00\n01\n10")
-    values = {
-        run_a1(m, AlgoConfig(column_order=explicit_order(p))).value
-        for p in permutations((1, 2))
-    }
+    values = {run_a1(m, order=explicit_order(p)).value for p in permutations((1, 2))}
     assert values == {False}
+
+
+def _up_closed(matrix) -> bool:
+    """Does every row with a 0 in some column have the row with a 1 there?"""
+    rows = set(matrix.rows)
+    return all(r | 1 << k in rows for r in rows for k in range(matrix.n))
+
+
+def test_a1_true_exactly_on_up_closed_row_sets():
+    # on distinct rows a1 accepts exactly the upward-closed row sets
+    # (see the README for the proof sketch)
+    matrices = [m for n in (1, 2, 3) for m in enumerate_universe(UniverseSpec(n=n))]
+    ranks = random.Random(7).sample(range(1, 2**16), 2_000)
+    matrices += [BinaryMatrix(tuple(v for v in range(16) if rank >> v & 1), 4) for rank in ranks]
+    wrong = [m for m in matrices if run_a1(m).value != _up_closed(m)]
+    assert len(matrices) == 273 + 2_000 and wrong == []

@@ -1,5 +1,8 @@
 import io
 import json
+import re
+
+import pytest
 
 from heavycol.cli import main
 from heavycol.verification import MAX_WORKERS
@@ -85,6 +88,45 @@ def test_analyze_json_is_report_schema(monkeypatch, capsys):
         "m", "n", "algorithm", "verdict", "heavy_columns",
         "witness", "preconditions", "stats",
     }
+
+
+def test_report_dict_schema():
+    from heavycol import parse_matrix
+    from heavycol.algorithms import EXHAUSTED_TRUE, RecursionStats, Verdict, Witness
+    from heavycol.cli import report_dict, to_json
+
+    m = parse_matrix("1")
+    doc = json.loads(to_json(report_dict(m, "oracle")))
+    assert doc["verdict"] is None and doc["heavy_columns"] == [1] and doc["witness"] is None
+    doc = json.loads(to_json(report_dict(parse_matrix("00\n01\n10"), "oracle")))
+    assert doc["heavy_columns"] == []
+    assert doc["stats"] == {"calls": 0, "max_depth": 0, "cache_hits": 0, "elapsed_ns": 0}
+
+    verdict = Verdict(True, Witness(EXHAUSTED_TRUE, None, 18), RecursionStats(7, 1, 0, 120))
+    doc = json.loads(to_json(report_dict(m, "a1", verdict)))
+    assert doc["stats"] == {"calls": 7, "max_depth": 1, "cache_hits": 0, "elapsed_ns": 120}
+    assert doc["witness"] == {"line": 18, "column": None} and doc["verdict"] is True
+
+
+def test_analyze_trace_at_checked_before_output(monkeypatch, capsys):
+    # a malformed or out-of-range anchor used to exit 0 under --json, and to
+    # print the whole structure report before failing without it
+    counterexample = "0000\n1010\n0110\n1001\n0101\n"
+    for anchor, message in (("abc", "bad --trace-at 'abc'"), ("9:9", "row 9 outside 1..5"),
+                            ("1:5", "column 5 outside 1..4"), ("1:2:3", "bad --trace-at")):
+        for json_flag in ([], ["--json"]):
+            code, out, err = run_cli(
+                ["analyze", "--trace-at", anchor, *json_flag, "-"], counterexample,
+                monkeypatch, capsys,
+            )
+            assert code == 2 and out == ""
+            assert err.count("\n") == 1 and message in err
+
+
+def test_analyze_trace_at_in_range(monkeypatch, capsys):
+    code, out, _ = run_cli(["analyze", "--trace-at", "1:2", "-"], "00\n01\n10\n", monkeypatch, capsys)
+    assert code == 0
+    assert "sequential reduction at row 1, preserving column 2:" in out
 
 
 def test_verify_theorem1(monkeypatch, capsys):
@@ -219,6 +261,18 @@ def test_bench_growth_csv(monkeypatch, capsys):
     assert len(lines) == 1 + 2 * 2 * 2  # two n, two algos, two variants
 
 
+def test_bench_empty_range_is_usage_error(tmp_path, monkeypatch, capsys):
+    # --n-min above --n-max used to print a header-only table and exit 0,
+    # or fail inside min() with --save or compare
+    for action in (["growth"], ["growth", "--save"], ["compare"]):
+        code, out, err = run_cli(
+            ["bench", *action, "--n-min", "3", "--n-max", "1", "--store", str(tmp_path)],
+            None, monkeypatch, capsys,
+        )
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "empty column-count range range(3, 2)" in err
+
+
 def test_bench_save_and_compare(tmp_path, monkeypatch, capsys):
     base = ["--family", "full_cube", "--n-min", "1", "--n-max", "2",
             "--store", str(tmp_path)]
@@ -236,3 +290,154 @@ def test_bench_compare_missing_baseline(tmp_path, monkeypatch, capsys):
         None, monkeypatch, capsys,
     )
     assert code == 2 and "MissingBaseline" in err
+
+
+# --- golden output ---------------------------------------------------------
+#
+# The exact stdout of each --json command (and of one CSV table), timings
+# masked to 0.  Key order, spacing, null/true spelling and list order are all
+# pinned, so a change to how reports are serialized shows up here even when
+# every value survives.
+
+GOLDEN_MATRIX = "0000\n1010\n0110\n1001\n0101\n"
+
+_ORACLE_REPORT = (
+    '{"algorithm": "oracle", "heavy_columns": [], "m": 5, "n": 4, '
+    '"preconditions": {"all_zero_column": false, "distinct_columns": true, '
+    '"distinct_rows": true}, "stats": {"cache_hits": 0, "calls": 0, "elapsed_ns": 0, '
+    '"max_depth": 0}, "verdict": null, "witness": null}\n'
+)
+
+GOLDEN_STDOUT = [
+    (["check", "--algo", "a1", "--json", "-"], 0, (
+        '{"algorithm": "a1", "heavy_columns": [], "m": 5, "n": 4, '
+        '"preconditions": {"all_zero_column": false, "distinct_columns": true, '
+        '"distinct_rows": true}, "stats": {"cache_hits": 0, "calls": 2, "elapsed_ns": 0, '
+        '"max_depth": 1}, "verdict": false, "witness": {"column": 1, "line": 15}}\n'
+    )),
+    (["check", "--algo", "a2", "--json", "-"], 0, (
+        '{"algorithm": "a2", "heavy_columns": [], "m": 5, "n": 4, '
+        '"preconditions": {"all_zero_column": false, "distinct_columns": true, '
+        '"distinct_rows": true}, "stats": {"cache_hits": 0, "calls": 19, "elapsed_ns": 0, '
+        '"max_depth": 2}, "verdict": true, "witness": {"column": null, "line": 32}}\n'
+    )),
+    (["oracle", "--json", "-"], 0, _ORACLE_REPORT),
+    (["analyze", "--json", "-"], 0, _ORACLE_REPORT),
+    (["verify", "theorem2", "--n", "3", "--json"], 0, (
+        '{"spec": {"forbid_all_zero_column": true, "m_max": 8, "m_min": 1, "mode": "exhaustive", '
+        '"n": 3, "require_distinct_columns": true, "samples": null, "seed": null}, '
+        '"tallies": {"a2_false": 65, "a2_true": 127, "converse_gap_a2": 55, "has_heavy": 182, '
+        '"key_condition_hits": 77, "no_heavy": 10, "no_heavy_and_a2_false": 10, '
+        '"violations": 0}, "tested": 192, "violations": []}\n'
+    )),
+    (["verify", "all", "--n", "2", "--json"], 0, (
+        '[{"spec": {"forbid_all_zero_column": false, "m_max": 4, "m_min": 1, '
+        '"mode": "exhaustive", "n": 2, "require_distinct_columns": false, "samples": null, '
+        '"seed": null}, "tallies": {"a1_false": 10, "a1_true": 5, "converse_gap_a1": 8, '
+        '"has_heavy": 13, "no_heavy": 2, "no_heavy_and_a1_false": 2, "violations": 0}, '
+        '"tested": 15, "violations": []}, {"spec": {"forbid_all_zero_column": true, "m_max": 4, '
+        '"m_min": 1, "mode": "exhaustive", "n": 2, "require_distinct_columns": true, '
+        '"samples": null, "seed": null}, "tallies": {"a2_false": 1, "a2_true": 7, '
+        '"converse_gap_a2": 0, "has_heavy": 7, "key_condition_hits": 6, "no_heavy": 1, '
+        '"no_heavy_and_a2_false": 1, "violations": 0}, "tested": 8, "violations": []}, '
+        '{"spec": {"forbid_all_zero_column": false, "m_max": 4, "m_min": 1, '
+        '"mode": "exhaustive", "n": 2, "require_distinct_columns": false, "samples": null, '
+        '"seed": null}, "tallies": {"hypothesis_fails": 10, "hypothesis_holds": 5, '
+        '"violations": 0}, "tested": 15, "violations": []}, '
+        '{"spec": {"forbid_all_zero_column": false, "m_max": 4, "m_min": 1, '
+        '"mode": "exhaustive", "n": 2, "require_distinct_columns": false, "samples": null, '
+        '"seed": null}, "tallies": {"has_heavy": 13, "no_heavy": 2, "unpaired_found": 2, '
+        '"violations": 0}, "tested": 15, "violations": []}, '
+        '{"spec": {"forbid_all_zero_column": false, "m_max": 1, "m_min": 1, "mode": "fixed", '
+        '"n": 2, "require_distinct_columns": false, "samples": null, "seed": null}, '
+        '"tallies": {"confirmed": 1, "violations": 0}, "tested": 1, '
+        '"violations": [{"matrix": "00", "property": "remark_counterexample"}]}]\n'
+    )),
+    (["explore", "converse", "--n", "2", "--json"], 0, (
+        '{"spec": {"forbid_all_zero_column": false, "m_max": 4, "m_min": 1, '
+        '"mode": "exhaustive", "n": 2, "require_distinct_columns": false, "samples": null, '
+        '"seed": null}, "tallies": {"a2_checked": 8, "converse_gap_a1": 8, "converse_gap_a2": 0, '
+        '"has_heavy": 13, "no_heavy": 2, "violations": 0}, "tested": 15, '
+        '"violations": [{"matrix": "10", "property": "converse_gap_a1"}, {"matrix": "00\\n10", '
+        '"property": "converse_gap_a1"}, {"matrix": "01", "property": "converse_gap_a1"}, '
+        '{"matrix": "00\\n01", "property": "converse_gap_a1"}, {"matrix": "10\\n01", '
+        '"property": "converse_gap_a1"}, {"matrix": "00\\n11", "property": "converse_gap_a1"}, '
+        '{"matrix": "00\\n10\\n11", "property": "converse_gap_a1"}, {"matrix": "00\\n01\\n11", '
+        '"property": "converse_gap_a1"}]}\n'
+    )),
+    (["bench", "growth", "--n-max", "3", "--json"], 0, (
+        '{"rows": [{"algo": "a1", "cache_hits": 0, "calls": 1, "elapsed_ns": 0, '
+        '"family": "full_cube", "m": 2, "max_depth": 0, "n": 1, "variant": "plain"}, '
+        '{"algo": "a1", "cache_hits": 0, "calls": 1, "elapsed_ns": 0, "family": "full_cube", '
+        '"m": 2, "max_depth": 0, "n": 1, "variant": "memoized"}, {"algo": "a2", "cache_hits": 0, '
+        '"calls": 1, "elapsed_ns": 0, "family": "full_cube", "m": 2, "max_depth": 0, "n": 1, '
+        '"variant": "plain"}, {"algo": "a2", "cache_hits": 0, "calls": 1, "elapsed_ns": 0, '
+        '"family": "full_cube", "m": 2, "max_depth": 0, "n": 1, "variant": "memoized"}, '
+        '{"algo": "a1", "cache_hits": 0, "calls": 5, "elapsed_ns": 0, "family": "full_cube", '
+        '"m": 4, "max_depth": 1, "n": 2, "variant": "plain"}, {"algo": "a1", "cache_hits": 0, '
+        '"calls": 5, "elapsed_ns": 0, "family": "full_cube", "m": 4, "max_depth": 1, "n": 2, '
+        '"variant": "memoized"}, {"algo": "a2", "cache_hits": 0, "calls": 5, "elapsed_ns": 0, '
+        '"family": "full_cube", "m": 4, "max_depth": 1, "n": 2, "variant": "plain"}, '
+        '{"algo": "a2", "cache_hits": 0, "calls": 5, "elapsed_ns": 0, "family": "full_cube", '
+        '"m": 4, "max_depth": 1, "n": 2, "variant": "memoized"}, {"algo": "a1", "cache_hits": 0, '
+        '"calls": 31, "elapsed_ns": 0, "family": "full_cube", "m": 8, "max_depth": 2, "n": 3, '
+        '"variant": "plain"}, {"algo": "a1", "cache_hits": 5, "calls": 11, "elapsed_ns": 0, '
+        '"family": "full_cube", "m": 8, "max_depth": 2, "n": 3, "variant": "memoized"}, '
+        '{"algo": "a2", "cache_hits": 0, "calls": 31, "elapsed_ns": 0, "family": "full_cube", '
+        '"m": 8, "max_depth": 2, "n": 3, "variant": "plain"}, {"algo": "a2", "cache_hits": 5, '
+        '"calls": 11, "elapsed_ns": 0, "family": "full_cube", "m": 8, "max_depth": 2, "n": 3, '
+        '"variant": "memoized"}]}\n'
+    )),
+    (["bench", "growth", "--n-max", "2"], 0, (
+        "n,family,m,algo,variant,calls,cache_hits,max_depth,elapsed_ns\n"
+        "1,full_cube,2,a1,plain,1,0,0,0\n"
+        "1,full_cube,2,a1,memoized,1,0,0,0\n"
+        "1,full_cube,2,a2,plain,1,0,0,0\n"
+        "1,full_cube,2,a2,memoized,1,0,0,0\n"
+        "2,full_cube,4,a1,plain,5,0,1,0\n"
+        "2,full_cube,4,a1,memoized,5,0,1,0\n"
+        "2,full_cube,4,a2,plain,5,0,1,0\n"
+        "2,full_cube,4,a2,memoized,5,0,1,0\n"
+    )),
+]
+
+GOLDEN_COMPARE = (
+    '{"behavioral": [{"baseline": 99, "current": 1, "field": "calls", "key": ["full_cube", '
+    '1, "a1", "plain"]}], "clean": false, "informational": [{"baseline": null, "current": 0, '
+    '"field": "elapsed_ns", "key": ["full_cube", 1, "a1", "plain"]}, {"baseline": null, '
+    '"current": 0, "field": "elapsed_ns", "key": ["full_cube", 1, "a1", "memoized"]}, '
+    '{"baseline": null, "current": 0, "field": "elapsed_ns", "key": ["full_cube", 2, "a1", '
+    '"plain"]}, {"baseline": null, "current": 0, "field": "elapsed_ns", "key": ["full_cube", '
+    '2, "a1", "memoized"]}]}\n'
+)
+
+
+def _masked(out: str) -> str:
+    """Stdout with every elapsed_ns value set to 0: JSON fields, compare's
+    time-drift entries and the last CSV column."""
+    out = re.sub(r'"elapsed_ns": \d+', '"elapsed_ns": 0', out)
+    out = re.sub(r'"current": \d+, "field": "elapsed_ns"', '"current": 0, "field": "elapsed_ns"', out)
+    return re.sub(r",\d+$", ",0", out, flags=re.M)
+
+
+@pytest.mark.parametrize(
+    "args, code, expected", GOLDEN_STDOUT, ids=[" ".join(args) for args, _, _ in GOLDEN_STDOUT]
+)
+def test_output_bytes_are_golden(args, code, expected, monkeypatch, capsys):
+    stdin = GOLDEN_MATRIX if args[-1] == "-" else None
+    got, out, _ = run_cli(args, stdin, monkeypatch, capsys)
+    assert (got, _masked(out)) == (code, expected)
+
+
+def test_bench_compare_bytes_are_golden(tmp_path, monkeypatch, capsys):
+    # the baseline loses its timings and gains one wrong call count, so both
+    # entry lists are fixed: one behavioral change, one null-based drift per row
+    base = ["--algo", "a1", "--n-max", "2", "--store", str(tmp_path)]
+    assert run_cli(["bench", "growth", "--save", *base], None, monkeypatch, capsys)[0] == 0
+    (path,) = tmp_path.glob("growth_*.csv")
+    header, *rows = path.read_text().splitlines()
+    rows = [row.rsplit(",", 1)[0] + "," for row in rows]
+    rows[0] = rows[0].replace(",plain,1,", ",plain,99,")
+    path.write_text("\n".join([header, *rows]) + "\n")
+    code, out, _ = run_cli(["bench", "compare", "--json", *base], None, monkeypatch, capsys)
+    assert (code, _masked(out)) == (1, GOLDEN_COMPARE)

@@ -14,7 +14,7 @@ from itertools import permutations
 
 import pytest
 
-from heavycol import AlgoConfig, BinaryMatrix, enumerate_universe, parse_matrix, UniverseSpec
+from heavycol import BinaryMatrix, enumerate_universe, parse_matrix, UniverseSpec
 from heavycol.algorithms import (
     ASCENDING,
     CHILD_FALSE,
@@ -132,7 +132,7 @@ def _reference(algo, matrix, order=ASCENDING, memoize=False):
 
 def _fast(algo, matrix, order=ASCENDING, memoize=False):
     if algo == "a1":
-        v = run_a1(matrix, AlgoConfig(column_order=order, memoize=memoize))
+        v = run_a1(matrix, order=order, memoize=memoize)
     else:
         v = run_a2(matrix, memoize=memoize)
     w, s = v.witness, v.stats

@@ -1,5 +1,3 @@
-import json
-
 import pytest
 from hypothesis import given
 
@@ -19,7 +17,6 @@ from heavycol.matrix import (
     EmptyInput,
     RaggedRows,
     TooWide,
-    report_dict,
 )
 
 from conftest import matrices
@@ -88,28 +85,6 @@ def test_matrix_properties_examples():
     p = matrix_properties(parse_matrix("10\n01"))
     assert p.distinct_rows and p.distinct_columns and not p.has_all_zero_column
     assert not matrix_properties(parse_matrix("1\n1")).distinct_rows
-
-
-def test_report_dict_schema():
-    # the CLI prints a report as json.dumps(report_dict(...), sort_keys=True)
-    m = parse_matrix("1")
-    doc = json.loads(json.dumps(report_dict(m, "oracle"), sort_keys=True))
-    assert doc["verdict"] is None and doc["heavy_columns"] == [1] and doc["witness"] is None
-    doc = json.loads(json.dumps(report_dict(parse_matrix("00\n01\n10"), "oracle"), sort_keys=True))
-    assert doc["heavy_columns"] == []
-    assert set(doc["stats"]) == {"calls", "max_depth", "cache_hits", "elapsed_ns"}
-
-    class FakeStats:
-        calls, max_depth, cache_hits, elapsed_ns = 7, 1, 0, 120
-
-    class FakeWitness:
-        line, column, tag = 18, None, "EXHAUSTED_TRUE"
-
-    class FakeVerdict:
-        value, witness, stats = True, FakeWitness, FakeStats
-
-    doc = json.loads(json.dumps(report_dict(m, "a1", FakeVerdict), sort_keys=True))
-    assert doc["stats"]["calls"] == 7 and doc["witness"] == {"line": 18, "column": None}
 
 
 def test_permute_columns():

@@ -60,6 +60,14 @@ def test_range_validation():
         profile_family("full_cube", [11])
 
 
+def test_empty_range_rejected():
+    # an empty range used to give a header-only table, and a min() error
+    # when the table was saved or compared
+    for empty in (range(3, 2), []):
+        with pytest.raises(ValueError, match="empty column-count range"):
+            profile_family("full_cube", empty)
+
+
 def test_budget_must_be_positive():
     # a budget of 0 or less would time out every row before its first frame
     for budget in (0, -1_000_000):
@@ -73,6 +81,8 @@ def test_timeout_marks_row_and_keeps_table():
     row = table.key_map()[("full_cube", 8, "a1", "plain")]
     assert row.timed_out and row.calls is None
     assert len(table.rows) == 2  # memoized row still present
+    assert ",a1,plain,,,," in table.to_csv()
+    assert GrowthTable.from_csv(table.to_csv()) == table
 
 
 def test_csv_roundtrip(cube_table):

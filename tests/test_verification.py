@@ -14,6 +14,7 @@ from heavycol import (
     UniverseSpec,
 )
 from heavycol import verification
+from heavycol.cli import to_json
 from heavycol.verification import MAX_WORKERS, UniverseTooLarge
 
 
@@ -140,7 +141,7 @@ def test_reports_deterministic_across_workers():
             UniverseSpec(n=4, mode="random", samples=80, seed=5), workers=w
         ),
     ):
-        docs = {make(w).to_json() for w in (1, 2)}
+        docs = {to_json(make(w)) for w in (1, 2)}
         assert len(docs) == 1
 
 
@@ -171,8 +172,8 @@ def test_workers_bounded(monkeypatch):
         with pytest.raises(ValueError, match="workers"):
             converse_scan(UniverseSpec(n=2), workers=bad)
     assert _SerialPool.sizes == []
-    serial = check_theorem1(UniverseSpec(n=2)).to_json()
-    assert check_theorem1(UniverseSpec(n=2), workers=MAX_WORKERS).to_json() == serial
+    serial = to_json(check_theorem1(UniverseSpec(n=2)))
+    assert to_json(check_theorem1(UniverseSpec(n=2), workers=MAX_WORKERS)) == serial
     assert _SerialPool.sizes == [MAX_WORKERS]
 
 
@@ -187,7 +188,7 @@ def test_witness_cap_truncates_list_not_counts():
 def test_witness_cap_commutes_with_partitioning():
     # eight collectible witnesses at n=2; a tight cap must pick the same
     # leading ones whatever the chunking
-    docs = {converse_scan(UniverseSpec(n=2), workers=w, witness_cap=3).to_json()
+    docs = {to_json(converse_scan(UniverseSpec(n=2), workers=w, witness_cap=3))
             for w in (1, 2, 3)}
     assert len(docs) == 1
 
@@ -254,7 +255,7 @@ def test_chunk_ranges_partition_exactly():
 
 
 def test_report_json_shape():
-    doc = json.loads(check_theorem1(UniverseSpec(n=1)).to_json())
+    doc = json.loads(to_json(check_theorem1(UniverseSpec(n=1))))
     assert set(doc) == {"spec", "tested", "tallies", "violations"}
     assert doc["tested"] == 3
     assert doc["spec"]["n"] == 1 and doc["spec"]["mode"] == "exhaustive"
