@@ -45,6 +45,10 @@ a2, with the column loop fixed to ascending order:
     28              return False
     32  return True
 
+a2 is a1 plus two True exits, line 0 and the key condition at lines 13-14,
+with its loop fixed ascending; a1's other return sites 3, 5, 11, 15 and 18
+are a2's 5, 7, 21, 28 and 32.  One frame function, ``_certify``, runs both.
+
 Verdicts carry a witness naming the return site above (tag plus line number
 and the triggering column where one exists) and recursion statistics.
 
@@ -60,9 +64,9 @@ names root positions, not row values, so duplicate rows are counted once per
 occurrence and row order plays no part, exactly as with explicit row lists.
 
 Memoized runs produce identical verdict values; the cache is private to one
-invocation and keyed on (algorithm, n, sorted multiset of the frame's rows
-projected onto its columns, column-order class), not on the mask, which is
-sound because verdicts are row-permutation invariant.
+run, whose algorithm and column order are fixed, and keyed on (n, projected
+rows): the sorted multiset of the frame's rows projected onto its columns,
+not the mask, which is sound because verdicts are row-permutation invariant.
 """
 
 from __future__ import annotations
@@ -178,11 +182,12 @@ def _order_for(order: ColumnOrder, n_cols: int) -> tuple[int, ...]:
 
 
 class _Run:
-    """Mutable per-invocation context: statistics, cache, witness, budget."""
+    """Mutable per-run context: a1 or a2, statistics, cache, witness, budget."""
 
-    __slots__ = ("calls", "max_depth", "cache_hits", "cache", "order", "deadline", "witness")
+    __slots__ = ("a2", "calls", "max_depth", "cache_hits", "cache", "order", "deadline", "witness")
 
-    def __init__(self, order: ColumnOrder, memoize: bool, budget_ns: int | None):
+    def __init__(self, a2: bool, order: ColumnOrder, memoize: bool, budget_ns: int | None):
+        self.a2 = a2
         self.calls = 0
         self.max_depth = 0
         self.cache_hits = 0
@@ -219,51 +224,13 @@ def _memo_rows(mask: int, cols) -> tuple[int, ...]:
     return tuple(sorted(compress(rows, map(int, bin(mask)[:1:-1]))))
 
 
-def _a1(mask: int, cols: tuple, depth: int, ctx: _Run) -> bool:
+def _certify(mask: int, cols: tuple, depth: int, ctx: _Run) -> bool:
+    """One frame of a1, or of a2 when ``ctx.a2`` adds lines 0 and 13-14."""
     ctx.enter(depth)
+    a2 = ctx.a2
     count = mask.bit_count()
     n = len(cols)
-    if n == 1:
-        value = _heavy(mask, count, cols)
-        if depth == 0:
-            ctx.witness = (N1_BASE, 1, value)
-        return value
-
-    key = None
-    if ctx.cache is not None:
-        key = ("a1", n, _memo_rows(mask, cols), ctx.order)
-        cached = ctx.cache.get(key)
-        if cached is not None:
-            ctx.cache_hits += 1
-            return cached
-
-    value, tag, col = True, EXHAUSTED_TRUE, None
-    for k in _order_for(ctx.order, n):
-        m1 = mask & cols[k - 1]
-        m0 = mask ^ m1
-        zeros = m0.bit_count()
-        child = cols[: k - 1] + cols[k:]
-        if (m0 and not _heavy(m0, zeros, child)) or (m1 and not _heavy(m1, count - zeros, child)):
-            value, tag, col = False, NOHEAVY_CHILD, k
-            break
-        if (m0 and not _a1(m0, child, depth + 1, ctx)) or (
-            m1 and not _a1(m1, child, depth + 1, ctx)
-        ):
-            value, tag, col = False, CHILD_FALSE, k
-            break
-
-    if ctx.cache is not None:
-        ctx.cache[key] = value
-    if depth == 0:
-        ctx.witness = (tag, col, value)
-    return value
-
-
-def _a2(mask: int, cols: tuple, depth: int, ctx: _Run) -> bool:
-    ctx.enter(depth)
-    count = mask.bit_count()
-    n = len(cols)
-    if count == 1 and n > 1:
+    if a2 and count == 1 and n > 1:
         if depth == 0:
             ctx.witness = (M1_BASE, None, True)
         return True
@@ -275,28 +242,28 @@ def _a2(mask: int, cols: tuple, depth: int, ctx: _Run) -> bool:
 
     key = None
     if ctx.cache is not None:
-        key = ("a2", n, _memo_rows(mask, cols))
+        key = (n, _memo_rows(mask, cols))
         cached = ctx.cache.get(key)
         if cached is not None:
             ctx.cache_hits += 1
             return cached
 
     value, tag, col = True, EXHAUSTED_TRUE, None
-    for k in range(n):
-        m1 = mask & cols[k]
+    for k in _order_for(ctx.order, n):
+        m1 = mask & cols[k - 1]
         m0 = mask ^ m1
         zeros = m0.bit_count()
-        if zeros == 1:
-            value, tag, col = True, KEY_CONDITION, k + 1
+        if a2 and zeros == 1:
+            value, tag, col = True, KEY_CONDITION, k
             break
-        child = cols[:k] + cols[k + 1 :]
+        child = cols[: k - 1] + cols[k:]
         if (m0 and not _heavy(m0, zeros, child)) or (m1 and not _heavy(m1, count - zeros, child)):
-            value, tag, col = False, NOHEAVY_CHILD, k + 1
+            value, tag, col = False, NOHEAVY_CHILD, k
             break
-        if (m0 and not _a2(m0, child, depth + 1, ctx)) or (
-            m1 and not _a2(m1, child, depth + 1, ctx)
+        if (m0 and not _certify(m0, child, depth + 1, ctx)) or (
+            m1 and not _certify(m1, child, depth + 1, ctx)
         ):
-            value, tag, col = False, CHILD_FALSE, k + 1
+            value, tag, col = False, CHILD_FALSE, k
             break
 
     if ctx.cache is not None:
@@ -306,17 +273,22 @@ def _a2(mask: int, cols: tuple, depth: int, ctx: _Run) -> bool:
     return value
 
 
-def _finish(ctx: _Run, value: bool, lines: dict, started_ns: int) -> Verdict:
+def _run(
+    a2: bool, matrix: BinaryMatrix, order: ColumnOrder, memoize: bool, budget_ns: int | None
+) -> Verdict:
+    ctx = _Run(a2, order, memoize, budget_ns)
+    started = time.perf_counter_ns()
+    value = _certify((1 << matrix.m) - 1, column_patterns(matrix.rows, matrix.n), 0, ctx)
     tag, col, wvalue = ctx.witness
     assert wvalue == value
-    witness = Witness(tag=tag, column=col, line=lines[(tag, value)])
+    lines = _A2_LINES if a2 else _A1_LINES
     stats = RecursionStats(
         calls=ctx.calls,
         max_depth=ctx.max_depth,
         cache_hits=ctx.cache_hits,
-        elapsed_ns=time.perf_counter_ns() - started_ns,
+        elapsed_ns=time.perf_counter_ns() - started,
     )
-    return Verdict(value=value, witness=witness, stats=stats)
+    return Verdict(value=value, witness=Witness(tag, col, lines[(tag, value)]), stats=stats)
 
 
 def run_a1(
@@ -328,10 +300,7 @@ def run_a1(
 ) -> Verdict:
     """Run a1 on the matrix, its column loop in the given order."""
     _validate_order(order, matrix.n)
-    ctx = _Run(order, memoize, budget_ns)
-    started = time.perf_counter_ns()
-    value = _a1((1 << matrix.m) - 1, column_patterns(matrix.rows, matrix.n), 0, ctx)
-    return _finish(ctx, value, _A1_LINES, started)
+    return _run(False, matrix, order, memoize, budget_ns)
 
 
 def run_a2(
@@ -341,10 +310,7 @@ def run_a2(
     budget_ns: int | None = None,
 ) -> Verdict:
     """Run a2 on the matrix; the column loop is always ascending."""
-    ctx = _Run(ASCENDING, memoize, budget_ns)
-    started = time.perf_counter_ns()
-    value = _a2((1 << matrix.m) - 1, column_patterns(matrix.rows, matrix.n), 0, ctx)
-    return _finish(ctx, value, _A2_LINES, started)
+    return _run(True, matrix, ASCENDING, memoize, budget_ns)
 
 
 def run_memoized(algo: str, matrix: BinaryMatrix, *, budget_ns: int | None = None) -> Verdict:

@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import suppress
 from dataclasses import asdict
 from pathlib import Path
 
@@ -166,8 +167,10 @@ def _read_matrix(source: str) -> BinaryMatrix:
 def _parse_order(text: str):
     if text == "ascending":
         return ASCENDING
-    if text.startswith("shuffle:"):
-        return shuffled_order(int(text.split(":", 1)[1]))
+    with suppress(ValueError):
+        kind, seed = text.split(":")
+        if kind == "shuffle":
+            return shuffled_order(int(seed))
     raise ValueError(f"bad --order {text!r}; use ascending or shuffle:SEED")
 
 
@@ -176,13 +179,12 @@ def _parse_mode(args) -> dict:
     if args.m_max is not None:
         kwargs["m_max"] = args.m_max
     if args.mode == "exhaustive":
-        kwargs["mode"] = "exhaustive"
-    elif args.mode.startswith("random:"):
-        _, count, seed = args.mode.split(":")
-        kwargs.update(mode="random", samples=int(count), seed=int(seed))
-    else:
-        raise ValueError(f"bad --mode {args.mode!r}; use exhaustive or random:COUNT:SEED")
-    return kwargs
+        return {**kwargs, "mode": "exhaustive"}
+    with suppress(ValueError):
+        kind, count, seed = args.mode.split(":")
+        if kind == "random":
+            return {**kwargs, "mode": "random", "samples": int(count), "seed": int(seed)}
+    raise ValueError(f"bad --mode {args.mode!r}; use exhaustive or random:COUNT:SEED")
 
 
 def _print_check_human(doc: dict, tag: str | None) -> None:
@@ -211,15 +213,11 @@ def _print_check_human(doc: dict, tag: str | None) -> None:
 
 
 def _cmd_check(args) -> int:
-    matrix = _read_matrix(args.input)
     order = _parse_order(args.order)
+    if args.algo == "a2" and order != ASCENDING:
+        raise ValueError(f"bad --order {args.order!r} for a2; its column loop is fixed ascending")
+    matrix = _read_matrix(args.input)
     if args.algo == "a2":
-        if order != ASCENDING:
-            print(
-                "a2's column loop runs in fixed ascending order; --order applies to a1 only",
-                file=sys.stderr,
-            )
-            return 2
         verdict = run_a2(matrix, memoize=args.memo)
     else:
         verdict = run_a1(matrix, order=order, memoize=args.memo)
@@ -359,9 +357,11 @@ def _cmd_explore(args) -> int:
 def _parse_family(text: str):
     if text in ("full_cube", "worst_found"):
         return text
-    if text.startswith("random_half:"):
-        return ("random_half", int(text.split(":", 1)[1]))
-    raise ValueError(f"bad --family {text!r}")
+    with suppress(ValueError):
+        kind, seed = text.split(":")
+        if kind == "random_half":
+            return ("random_half", int(seed))
+    raise ValueError(f"bad --family {text!r}; use full_cube, random_half:SEED or worst_found")
 
 
 def _cmd_bench(args) -> int:
@@ -369,16 +369,20 @@ def _cmd_bench(args) -> int:
     n_range = range(args.n_min, args.n_max + 1)
     algos = ("a1", "a2") if args.algo == "both" else (args.algo,)
     store = Path(args.store) if args.store else None
-    if family == "worst_found" and store is None and args.n_max > 3:
-        raise ValueError("worst_found above n=3 needs --store to persist specimens")
+    # every --store check runs before profile_family does the work
+    if store is None:
+        if family == "worst_found" and args.n_max > 3:
+            raise ValueError("worst_found above n=3 needs --store to persist specimens")
+        if args.action == "compare":
+            raise ValueError("compare needs --store")
+        if args.save:
+            raise ValueError("--save needs --store")
     table = profile_family(
         family, n_range, algos=algos,
         budget_ns=args.budget_ms * 1_000_000, store=store,
     )
     if args.action == "growth":
         if args.save:
-            if store is None:
-                raise ValueError("--save needs --store")
             path = save_baseline(table, store, family, n_range, algos)
             print(f"baseline written: {path}", file=sys.stderr)
         if args.json:
@@ -386,8 +390,6 @@ def _cmd_bench(args) -> int:
         else:
             sys.stdout.write(table.to_csv())
         return 0
-    if store is None:
-        raise ValueError("compare needs --store")
     baseline = load_baseline(store, family, n_range, algos)
     diff = snapshot_compare(table, baseline)
     if args.json:

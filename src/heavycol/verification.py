@@ -198,35 +198,23 @@ def _full_range(spec: UniverseSpec) -> tuple[int, int]:
 # module-level so the process pool can pickle the dispatch.
 
 
-def _inspect_theorem1(matrix: BinaryMatrix, params: dict):
-    value = run_a1(matrix).value
+def _inspect_guarantee(matrix: BinaryMatrix, params: dict):
+    # run_a1/run_a2 are looked up per call: the benchmark's traced pass wraps them
+    algo = params["algo"]
+    verdict = (run_a2 if algo == "a2" else run_a1)(matrix)
+    value = verdict.value
     heavy = bool(heavy_columns(matrix))
-    names = ["a1_true" if value else "a1_false", "has_heavy" if heavy else "no_heavy"]
+    names = [f"{algo}_{'true' if value else 'false'}", "has_heavy" if heavy else "no_heavy"]
     cases = []
+    if value and verdict.witness.tag == KEY_CONDITION:
+        names.append("key_condition_hits")
     if heavy and not value:
-        names.append("converse_gap_a1")
+        names.append(f"converse_gap_{algo}")
     if not heavy and not value:
-        names.append("no_heavy_and_a1_false")
+        names.append(f"no_heavy_and_{algo}_false")
     if value and not heavy:
         names.append("violations")
-        cases.append(ScanWitness(matrix_to_text(matrix), "a1_true_without_heavy"))
-    return names, cases
-
-
-def _inspect_theorem2(matrix: BinaryMatrix, params: dict):
-    verdict = run_a2(matrix)
-    heavy = bool(heavy_columns(matrix))
-    names = ["a2_true" if verdict.value else "a2_false", "has_heavy" if heavy else "no_heavy"]
-    cases = []
-    if verdict.value and verdict.witness.tag == KEY_CONDITION:
-        names.append("key_condition_hits")
-    if heavy and not verdict.value:
-        names.append("converse_gap_a2")
-    if not heavy and not verdict.value:
-        names.append("no_heavy_and_a2_false")
-    if verdict.value and not heavy:
-        names.append("violations")
-        cases.append(ScanWitness(matrix_to_text(matrix), "a2_true_without_heavy"))
+        cases.append(ScanWitness(matrix_to_text(matrix), f"{algo}_true_without_heavy"))
     return names, cases
 
 
@@ -314,8 +302,8 @@ def _inspect_order_sensitivity(matrix: BinaryMatrix, params: dict):
 
 
 _INSPECTORS = {
-    "theorem1": _inspect_theorem1,
-    "theorem2": _inspect_theorem2,
+    "theorem1": _inspect_guarantee,
+    "theorem2": _inspect_guarantee,
     "lemma1": _inspect_lemma1,
     "claim": _inspect_claim,
     "converse": _inspect_converse,
@@ -416,7 +404,7 @@ def check_theorem1(
     """Scan for a1 = True with an empty heavy set (expected count: zero)."""
     if spec.require_distinct_columns or spec.forbid_all_zero_column:
         raise ValueError("the a1 guarantee takes unconstrained columns")
-    return _run_scan(spec, "theorem1", {}, workers, witness_cap)
+    return _run_scan(spec, "theorem1", {"algo": "a1"}, workers, witness_cap)
 
 
 def check_theorem2(
@@ -427,7 +415,7 @@ def check_theorem2(
         raise ValueError(
             "the a2 guarantee needs distinct columns and no all-zero column enabled"
         )
-    return _run_scan(spec, "theorem2", {}, workers, witness_cap)
+    return _run_scan(spec, "theorem2", {"algo": "a2"}, workers, witness_cap)
 
 
 def check_lemma1(

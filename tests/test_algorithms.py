@@ -199,11 +199,35 @@ def _up_closed(matrix) -> bool:
     return all(r | 1 << k in rows for r in rows for k in range(matrix.n))
 
 
+def _up_closure(generators, n: int) -> list[int]:
+    """Every row of {0,1}^n at or above some generator, ascending."""
+    return [r for r in range(2**n) if any(r & g == g for g in generators)]
+
+
 def test_a1_true_exactly_on_up_closed_row_sets():
-    # on distinct rows a1 accepts exactly the upward-closed row sets
-    # (see the README for the proof sketch)
-    matrices = [m for n in (1, 2, 3) for m in enumerate_universe(UniverseSpec(n=n))]
-    ranks = random.Random(7).sample(range(1, 2**16), 2_000)
-    matrices += [BinaryMatrix(tuple(v for v in range(16) if rank >> v & 1), 4) for rank in ranks]
-    wrong = [m for m in matrices if run_a1(m).value != _up_closed(m)]
-    assert len(matrices) == 273 + 2_000 and wrong == []
+    # on distinct rows a1 accepts exactly the upward-closed row sets, and a2
+    # accepts every matrix a1 accepts (see the README for both proofs)
+    universe = [m for n in (1, 2, 3, 4) for m in enumerate_universe(UniverseSpec(n=n))]
+    accepted = [m for m in universe if run_a1(m).value]
+    assert len(universe) == 3 + 15 + 255 + 65_535
+    assert accepted == [m for m in universe if _up_closed(m)]
+    assert len(accepted) == 2 + 5 + 19 + 167
+    assert [m for m in accepted if not run_a2(m).value] == []
+
+    # beyond U(4): seeded up-closures, each also with one random row removed
+    rng = random.Random(8)
+    for n in range(5, 9):
+        for _ in range(30):
+            closed = _up_closure(rng.sample(range(2**n), rng.randint(1, 4)), n)
+            cut = [r for r in closed if r != rng.choice(closed)] or closed
+            for rows in (closed, cut):
+                m = BinaryMatrix(tuple(rows), n)
+                assert run_a1(m, memoize=True).value == _up_closed(m)
+
+
+@given(matrices(max_n=5, max_m=8))
+@settings(max_examples=150, deadline=None)
+def test_a2_accepts_whatever_a1_accepts(m):
+    # duplicate rows included: a2 runs a1's frames with two more True exits
+    if run_a1(m).value:
+        assert run_a2(m).value

@@ -1,9 +1,13 @@
 import io
 import json
 import re
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from heavycol import cli
 from heavycol.cli import main
 from heavycol.verification import MAX_WORKERS
 
@@ -290,6 +294,62 @@ def test_bench_compare_missing_baseline(tmp_path, monkeypatch, capsys):
         None, monkeypatch, capsys,
     )
     assert code == 2 and "MissingBaseline" in err
+
+
+def test_bench_store_checked_before_work(monkeypatch, capsys):
+    # the missing --store used to surface only after the whole table was built
+    def no_work(*args, **kwargs):
+        raise AssertionError("profile_family ran before the --store check")
+
+    monkeypatch.setattr(cli, "profile_family", no_work)
+    for action, message in ((["compare"], "compare needs --store"),
+                            (["growth", "--save"], "--save needs --store")):
+        code, out, err = run_cli(
+            ["bench", *action, "--family", "full_cube", "--n-min", "8", "--n-max", "9"],
+            None, monkeypatch, capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize("args, stdin, message", [
+    (["verify", "theorem1", "--n", "2", "--mode", "random:5"], None, "bad --mode 'random:5'"),
+    (["explore", "converse", "--n", "2", "--mode", "random:x:1"], None, "bad --mode 'random:x:1'"),
+    (["check", "--algo", "a1", "--order", "shuffle:", "-"], "10\n01\n", "bad --order 'shuffle:'"),
+    (["check", "--algo", "a1", "--order", "shuffle:1:2", "-"], "1\n", "bad --order 'shuffle:1:2'"),
+    (["bench", "growth", "--family", "random_half:x", "--n-max", "2"], None,
+     "bad --family 'random_half:x'"),
+])
+def test_malformed_flag_value_names_its_flag(args, stdin, message, monkeypatch, capsys):
+    code, out, err = run_cli(args, stdin, monkeypatch, capsys)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("ValueError: " + message + "; use ")
+
+
+# Matrix-ish text: the format's own characters plus any stray character.
+# Lines stay short because the recursion's cost grows with the factorial of
+# the column count, and the contract under test is about input handling.
+_FORMAT = st.sampled_from("01# \t")
+_LINE = st.text(_FORMAT, max_size=6) | st.text(
+    _FORMAT | st.characters(blacklist_categories=("Cs",)), max_size=6
+)
+
+
+@given(st.lists(_LINE, max_size=8).map("\n".join))
+@settings(max_examples=150, deadline=None)
+def test_check_exit_contract_on_fuzzed_stdin(text):
+    out, err = io.StringIO(), io.StringIO()
+    saved, sys.stdin = sys.stdin, io.StringIO(text)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["check", "--algo", "a2", "-"])
+    finally:
+        sys.stdin = saved
+    if code == 0:
+        assert out.getvalue().startswith("matrix: ") and err.getvalue() == ""
+    else:
+        assert code == 2 and out.getvalue() == ""
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
 
 
 # --- golden output ---------------------------------------------------------

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings, strategies as st
 
 from heavycol import (
     BinaryMatrix,
@@ -15,6 +15,7 @@ from heavycol.matrix import (
     BadCharacter,
     ColumnOutOfRange,
     EmptyInput,
+    MatrixError,
     RaggedRows,
     TooWide,
 )
@@ -118,3 +119,19 @@ def test_full_cube_every_column_heavy(n):
     cube = BinaryMatrix(tuple(range(2**n)), n)
     assert all(column_weight(cube, k) == 2 ** (n - 1) for k in range(1, n + 1))
     assert heavy_columns(cube) == set(range(1, n + 1))
+
+
+_FORMAT = st.sampled_from("01# \n\t")
+
+
+@given(st.text(_FORMAT) | st.text(_FORMAT | st.characters(blacklist_categories=("Cs",))))
+@settings(max_examples=300, deadline=None)
+def test_parse_matrix_fuzz_raises_only_matrix_errors(text):
+    # any text either parses or is rejected with a MatrixError, which the CLI
+    # reports as one stderr line and exit 2
+    try:
+        m = parse_matrix(text)
+    except MatrixError:
+        return
+    assert isinstance(m, BinaryMatrix)
+    assert parse_matrix(matrix_to_text(m)) == m
