@@ -98,8 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_input(p)
 
     p = sub.add_parser("verify", help="machine-check a guarantee over a universe")
-    p.add_argument("target",
-                   choices=["theorem1", "theorem2", "lemma1", "claim", "remark", "all"])
+    p.add_argument("target", choices=[*_VERIFY_TARGETS, "all"])
     add_universe(p)
     add_json(p)
 
@@ -294,25 +293,18 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
+# CLI target -> the name of its scan function in this module.  The function
+# is looked up on every call, so a wrapper set on this module is the one run.
+_SCANS = {
+    "theorem1": "check_theorem1",
+    "theorem2": "check_theorem2",
+    "lemma1": "check_lemma1",
+    "claim": "check_reduction_claim",
+    "remark": "remark_counterexamples",
+    "converse": "converse_scan",
+    "order-sensitivity": "order_sensitivity_scan",
+}
 _VERIFY_TARGETS = ("theorem1", "theorem2", "lemma1", "claim", "remark")
-
-
-def _run_verify_target(target: str, args) -> ScanReport:
-    if target == "remark":
-        return remark_counterexamples()
-    base = _parse_mode(args)
-    cap = args.witness_cap
-    if target == "theorem2":
-        spec = UniverseSpec(
-            **base, require_distinct_columns=True, forbid_all_zero_column=True
-        )
-        return check_theorem2(spec, workers=args.workers, witness_cap=cap)
-    spec = UniverseSpec(**base)
-    if target == "theorem1":
-        return check_theorem1(spec, workers=args.workers, witness_cap=cap)
-    if target == "lemma1":
-        return check_lemma1(spec, workers=args.workers, witness_cap=cap)
-    return check_reduction_claim(spec, workers=args.workers, witness_cap=cap)
 
 
 def _print_scan_human(name: str, report: ScanReport) -> None:
@@ -324,34 +316,29 @@ def _print_scan_human(name: str, report: ScanReport) -> None:
           f"({report.violation_count} violations)")
 
 
-def _cmd_verify(args) -> int:
+def _cmd_scan(args) -> int:
+    base = _parse_mode(args)
     targets = _VERIFY_TARGETS if args.target == "all" else (args.target,)
-    reports = [_run_verify_target(t, args) for t in targets]
+    options = {"workers": args.workers, "witness_cap": args.witness_cap}
+    if args.target == "order-sensitivity":
+        options["perm_budget"] = args.perm_budget
+    reports = []
+    for target in targets:
+        scan = globals()[_SCANS[target]]
+        if target == "remark":
+            reports.append(scan(**options))
+            continue
+        constrained = target == "theorem2"
+        spec = UniverseSpec(
+            **base, require_distinct_columns=constrained, forbid_all_zero_column=constrained
+        )
+        reports.append(scan(spec, **options))
     if args.json:
         print(to_json(reports if args.target == "all" else reports[0]))
     else:
         for name, report in zip(targets, reports):
             _print_scan_human(name, report)
     return 1 if any(r.violation_count for r in reports) else 0
-
-
-def _cmd_explore(args) -> int:
-    base = _parse_mode(args)
-    spec = UniverseSpec(**base)
-    if args.target == "converse":
-        report = converse_scan(spec, workers=args.workers, witness_cap=args.witness_cap)
-    else:
-        report = order_sensitivity_scan(
-            spec,
-            perm_budget=args.perm_budget,
-            workers=args.workers,
-            witness_cap=args.witness_cap,
-        )
-    if args.json:
-        print(to_json(report))
-    else:
-        _print_scan_human(args.target, report)
-    return 1 if report.violation_count else 0
 
 
 def _parse_family(text: str):
@@ -407,8 +394,8 @@ _DISPATCH = {
     "check": _cmd_check,
     "oracle": _cmd_oracle,
     "analyze": _cmd_analyze,
-    "verify": _cmd_verify,
-    "explore": _cmd_explore,
+    "verify": _cmd_scan,
+    "explore": _cmd_scan,
     "bench": _cmd_bench,
 }
 

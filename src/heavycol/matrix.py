@@ -98,13 +98,15 @@ class MatrixProperties:
 def parse_matrix(text: str) -> BinaryMatrix:
     """Parse the text format: one row of 0/1 per line.
 
-    '#' starts a comment running to end of line; blank lines are skipped;
-    whitespace inside a line is ignored.  All data lines must have equal
-    length L with 1 <= L <= 63.
+    Lines break only at LF, CRLF and CR.  '#' starts a comment running to
+    end of line; blank lines are skipped; any other whitespace inside a line
+    (form feed, vertical tab, NEL, U+2028, ...) is ignored.  All data lines
+    must have equal length L with 1 <= L <= 63.
     """
     rows: list[int] = []
     n = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0]
         line = "".join(line.split())
         if not line:

@@ -17,6 +17,13 @@ certificate guarantees at desk scale:
   * converse / order-sensitivity - exploratory tallies for the open
     questions; only a1's processing-order invariance is asserted.
 
+Every scan runs through `_run_scan` and every report comes from one merge,
+`_report`.  An inspector is module-level, takes the matrix last and returns
+(tally names to bump, witness cases); a scan binds its other parameters with
+`functools.partial`, so the process pool can pickle it.  Inspectors read the
+names they scan with (`run_a1`, `heavy_columns`, `BinaryMatrix`, ...) from
+this module's globals on every call: the benchmark's traced pass wraps them.
+
 Reports are deterministic byte-for-byte for a fixed spec, whatever the
 worker count: work is split into contiguous rank ranges, partial results are
 merged in rank order, and witness caps commute with that merge.
@@ -30,9 +37,9 @@ from bisect import bisect_right
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate, permutations
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .algorithms import KEY_CONDITION, explicit_order, run_a1, run_a2
 from .matrix import (
@@ -192,15 +199,10 @@ def _full_range(spec: UniverseSpec) -> tuple[int, int]:
     raise ValueError("fixed-mode reports are not enumerable")
 
 
-# --- per-matrix inspectors ------------------------------------------------
-#
-# Each inspector returns (tally names to bump, witness cases).  They must be
-# module-level so the process pool can pickle the dispatch.
+# --- per-matrix inspectors (contract in the module docstring) -------------
 
 
-def _inspect_guarantee(matrix: BinaryMatrix, params: dict):
-    # run_a1/run_a2 are looked up per call: the benchmark's traced pass wraps them
-    algo = params["algo"]
+def _inspect_guarantee(algo: str, matrix: BinaryMatrix):
     verdict = (run_a2 if algo == "a2" else run_a1)(matrix)
     value = verdict.value
     heavy = bool(heavy_columns(matrix))
@@ -218,7 +220,7 @@ def _inspect_guarantee(matrix: BinaryMatrix, params: dict):
     return names, cases
 
 
-def _inspect_lemma1(matrix: BinaryMatrix, params: dict):
+def _inspect_lemma1(matrix: BinaryMatrix):
     hypothesis = find_unpaired(matrix) is None
     names = ["hypothesis_holds" if hypothesis else "hypothesis_fails"]
     cases = []
@@ -236,7 +238,7 @@ def _shuffled_reduction_order(matrix: BinaryMatrix, l: int, seed: int) -> tuple[
     return tuple(order)
 
 
-def _inspect_claim(matrix: BinaryMatrix, params: dict):
+def _inspect_claim(shuffle_seed: int, matrix: BinaryMatrix):
     if heavy_columns(matrix):
         return ["has_heavy"], []
     names = ["no_heavy"]
@@ -248,7 +250,7 @@ def _inspect_claim(matrix: BinaryMatrix, params: dict):
         return names, cases
     names.append("unpaired_found")
     i, l = pair
-    orders = [None, _shuffled_reduction_order(matrix, l, params["shuffle_seed"])]
+    orders = [None, _shuffled_reduction_order(matrix, l, shuffle_seed)]
     bad = False
     for order in orders:
         trace = sequential_reduction(matrix, i, l, order=order)
@@ -260,7 +262,22 @@ def _inspect_claim(matrix: BinaryMatrix, params: dict):
     return names, cases
 
 
-def _inspect_converse(matrix: BinaryMatrix, params: dict):
+def _inspect_remark(matrix: BinaryMatrix):
+    verdict = run_a2(matrix)
+    props = matrix_properties(matrix)
+    confirmed = (
+        verdict.value is True
+        and verdict.witness.line == 1
+        and not heavy_columns(matrix)
+        and not props.distinct_columns
+        and props.has_all_zero_column
+    )
+    if confirmed:
+        return ["confirmed"], [ScanWitness(matrix_to_text(matrix), "remark_counterexample")]
+    return ["violations"], [ScanWitness(matrix_to_text(matrix), "remark_violation")]
+
+
+def _inspect_converse(matrix: BinaryMatrix):
     heavy = bool(heavy_columns(matrix))
     names = ["has_heavy" if heavy else "no_heavy"]
     cases = []
@@ -284,8 +301,8 @@ def _perm_sample(matrix: BinaryMatrix, budget: int, seed: int) -> list[tuple[int
     return rng.sample(all_perms, budget)
 
 
-def _inspect_order_sensitivity(matrix: BinaryMatrix, params: dict):
-    perms = _perm_sample(matrix, params["perm_budget"], params["perm_seed"])
+def _inspect_order_sensitivity(perm_budget: int, perm_seed: int, matrix: BinaryMatrix):
+    perms = _perm_sample(matrix, perm_budget, perm_seed)
     names = []
     cases = []
     base_a1 = run_a1(matrix).value
@@ -301,46 +318,13 @@ def _inspect_order_sensitivity(matrix: BinaryMatrix, params: dict):
     return names, cases
 
 
-_INSPECTORS = {
-    "theorem1": _inspect_guarantee,
-    "theorem2": _inspect_guarantee,
-    "lemma1": _inspect_lemma1,
-    "claim": _inspect_claim,
-    "converse": _inspect_converse,
-    "order_sensitivity": _inspect_order_sensitivity,
-}
-
-_TALLY_KEYS = {
-    "theorem1": (
-        "a1_true", "a1_false", "has_heavy", "no_heavy",
-        "no_heavy_and_a1_false", "converse_gap_a1", "violations",
-    ),
-    "theorem2": (
-        "a2_true", "a2_false", "has_heavy", "no_heavy", "key_condition_hits",
-        "no_heavy_and_a2_false", "converse_gap_a2", "violations",
-    ),
-    "lemma1": ("hypothesis_holds", "hypothesis_fails", "violations"),
-    "claim": ("has_heavy", "no_heavy", "unpaired_found", "violations"),
-    "converse": (
-        "has_heavy", "no_heavy", "a2_checked",
-        "converse_gap_a1", "converse_gap_a2", "violations",
-    ),
-    "order_sensitivity": (
-        "a1_order_mismatch", "a2_permutation_sensitive",
-        "a2_permutation_stable", "violations",
-    ),
-}
-
-
-def _scan_chunk(task: tuple) -> tuple[int, dict, list]:
-    spec, scan, params, lo, hi, cap = task
-    inspect = _INSPECTORS[scan]
+def _tally(matrices: Iterable[BinaryMatrix], inspect, cap: int) -> tuple[int, dict, list]:
     tested = 0
     tallies: Counter = Counter()
     witnesses: list[ScanWitness] = []
-    for matrix in _iter_range(spec, lo, hi):
+    for matrix in matrices:
         tested += 1
-        names, cases = inspect(matrix, params)
+        names, cases = inspect(matrix)
         tallies.update(names)
         for case in cases:
             if len(witnesses) < cap:
@@ -348,51 +332,50 @@ def _scan_chunk(task: tuple) -> tuple[int, dict, list]:
     return tested, dict(tallies), witnesses
 
 
+def _scan_chunk(task: tuple) -> tuple[int, dict, list]:
+    spec, inspect, lo, hi, cap = task
+    return _tally(_iter_range(spec, lo, hi), inspect, cap)
+
+
 def _chunk_ranges(lo: int, hi: int, pieces: int) -> list[tuple[int, int]]:
     span = hi - lo
     pieces = max(1, min(pieces, span))
-    step = span // pieces
-    extra = span % pieces
-    ranges = []
-    start = lo
-    for p in range(pieces):
-        end = start + step + (1 if p < extra else 0)
-        ranges.append((start, end))
-        start = end
-    return ranges
+    bounds = [lo + span * p // pieces for p in range(pieces + 1)]
+    return list(zip(bounds, bounds[1:]))
 
 
-def _run_scan(
-    spec: UniverseSpec,
-    scan: str,
-    params: dict,
-    workers: int = 1,
-    witness_cap: int = DEFAULT_WITNESS_CAP,
-) -> ScanReport:
+def _check_scan_flags(workers: int, witness_cap: int) -> None:
     if not 1 <= workers <= MAX_WORKERS:
         raise ValueError(f"workers must be in 1..{MAX_WORKERS}, got {workers}")
     if witness_cap < 0:
         raise ValueError(f"witness cap must be at least 0, got {witness_cap}")
+
+
+def _report(spec: UniverseSpec, partials, keys: tuple[str, ...], witness_cap: int) -> ScanReport:
+    """Merge (tested, tallies, witnesses) partials in order into one report."""
+    tallies: Counter = Counter()
+    for _, part_tallies, _ in partials:
+        tallies.update(part_tallies)
+    tested = sum(part[0] for part in partials)
+    witnesses = tuple(case for _, _, cases in partials for case in cases)[:witness_cap]
+    final = {key: tallies[key] for key in keys}
+    return ScanReport(spec=spec, tested=tested, tallies=final, violations=witnesses)
+
+
+def _run_scan(
+    spec: UniverseSpec, inspect, keys: tuple[str, ...], workers: int, witness_cap: int
+) -> ScanReport:
+    """Inspect every matrix of `spec` and tally the report's `keys`."""
+    _check_scan_flags(workers, witness_cap)
     lo, hi = _full_range(spec)
     chunks = _chunk_ranges(lo, hi, workers * 4)
-    tasks = [(spec, scan, params, clo, chi, witness_cap) for clo, chi in chunks]
+    tasks = [(spec, inspect, clo, chi, witness_cap) for clo, chi in chunks]
     if workers == 1:
         partials = [_scan_chunk(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(_scan_chunk, tasks))
-
-    tested = 0
-    tallies: Counter = Counter()
-    witnesses: list[ScanWitness] = []
-    for part_tested, part_tallies, part_witnesses in partials:
-        tested += part_tested
-        tallies.update(part_tallies)
-        for case in part_witnesses:
-            if len(witnesses) < witness_cap:
-                witnesses.append(case)
-    final = {key: tallies.get(key, 0) for key in _TALLY_KEYS[scan]}
-    return ScanReport(spec=spec, tested=tested, tallies=final, violations=tuple(witnesses))
+    return _report(spec, partials, keys, witness_cap)
 
 
 # --- public scans ----------------------------------------------------------
@@ -404,7 +387,11 @@ def check_theorem1(
     """Scan for a1 = True with an empty heavy set (expected count: zero)."""
     if spec.require_distinct_columns or spec.forbid_all_zero_column:
         raise ValueError("the a1 guarantee takes unconstrained columns")
-    return _run_scan(spec, "theorem1", {"algo": "a1"}, workers, witness_cap)
+    keys = (
+        "a1_true", "a1_false", "has_heavy", "no_heavy",
+        "no_heavy_and_a1_false", "converse_gap_a1", "violations",
+    )
+    return _run_scan(spec, partial(_inspect_guarantee, "a1"), keys, workers, witness_cap)
 
 
 def check_theorem2(
@@ -415,14 +402,19 @@ def check_theorem2(
         raise ValueError(
             "the a2 guarantee needs distinct columns and no all-zero column enabled"
         )
-    return _run_scan(spec, "theorem2", {"algo": "a2"}, workers, witness_cap)
+    keys = (
+        "a2_true", "a2_false", "has_heavy", "no_heavy", "key_condition_hits",
+        "no_heavy_and_a2_false", "converse_gap_a2", "violations",
+    )
+    return _run_scan(spec, partial(_inspect_guarantee, "a2"), keys, workers, witness_cap)
 
 
 def check_lemma1(
     spec: UniverseSpec, *, workers: int = 1, witness_cap: int = DEFAULT_WITNESS_CAP
 ) -> ScanReport:
     """Scan for fully-paired matrices with a zeros-majority column."""
-    return _run_scan(spec, "lemma1", {}, workers, witness_cap)
+    keys = ("hypothesis_holds", "hypothesis_fails", "violations")
+    return _run_scan(spec, _inspect_lemma1, keys, workers, witness_cap)
 
 
 def check_reduction_claim(
@@ -433,41 +425,34 @@ def check_reduction_claim(
     witness_cap: int = DEFAULT_WITNESS_CAP,
 ) -> ScanReport:
     """Check the all-zero-terminal path on every no-heavy matrix."""
-    return _run_scan(spec, "claim", {"shuffle_seed": shuffle_seed}, workers, witness_cap)
+    keys = ("has_heavy", "no_heavy", "unpaired_found", "violations")
+    return _run_scan(spec, partial(_inspect_claim, shuffle_seed), keys, workers, witness_cap)
 
 
-def remark_counterexamples() -> ScanReport:
+def remark_counterexamples(
+    *, workers: int = 1, witness_cap: int = DEFAULT_WITNESS_CAP
+) -> ScanReport:
     """Re-run the fixed precondition-violating case: 1x2 all-zero matrix.
 
     a2 answers True through its single-row base even though no column is
     heavy; both dropped preconditions must be flagged.  A confirmed case is
-    expected, not a violation.
+    expected, not a violation.  `workers` is only checked: one matrix needs no pool.
     """
-    matrix = BinaryMatrix((0,), 2)
-    verdict = run_a2(matrix)
-    props = matrix_properties(matrix)
-    confirmed = (
-        verdict.value is True
-        and verdict.witness.line == 1
-        and not heavy_columns(matrix)
-        and not props.distinct_columns
-        and props.has_all_zero_column
-    )
+    _check_scan_flags(workers, witness_cap)
     spec = UniverseSpec(n=2, m_min=1, m_max=1, mode="fixed")
-    tallies = {"confirmed": int(confirmed), "violations": int(not confirmed)}
-    text = matrix_to_text(matrix)
-    if confirmed:
-        witnesses = (ScanWitness(text, "remark_counterexample"),)
-    else:
-        witnesses = (ScanWitness(text, "remark_violation"),)
-    return ScanReport(spec=spec, tested=1, tallies=tallies, violations=witnesses)
+    part = _tally([BinaryMatrix((0,), 2)], _inspect_remark, witness_cap)
+    return _report(spec, [part], ("confirmed", "violations"), witness_cap)
 
 
 def converse_scan(
     spec: UniverseSpec, *, workers: int = 1, witness_cap: int = DEFAULT_WITNESS_CAP
 ) -> ScanReport:
     """Collect matrices with heavy columns that the procedures still reject."""
-    return _run_scan(spec, "converse", {}, workers, witness_cap)
+    keys = (
+        "has_heavy", "no_heavy", "a2_checked",
+        "converse_gap_a1", "converse_gap_a2", "violations",
+    )
+    return _run_scan(spec, _inspect_converse, keys, workers, witness_cap)
 
 
 def order_sensitivity_scan(
@@ -486,5 +471,9 @@ def order_sensitivity_scan(
     """
     if perm_budget < 1:
         raise ValueError(f"perm budget must be at least 1, got {perm_budget}")
-    params = {"perm_budget": perm_budget, "perm_seed": perm_seed}
-    return _run_scan(spec, "order_sensitivity", params, workers, witness_cap)
+    keys = (
+        "a1_order_mismatch", "a2_permutation_sensitive",
+        "a2_permutation_stable", "violations",
+    )
+    inspect = partial(_inspect_order_sensitivity, perm_budget, perm_seed)
+    return _run_scan(spec, inspect, keys, workers, witness_cap)

@@ -197,7 +197,7 @@ def test_verify_exhaustive_too_large(monkeypatch, capsys):
 def test_workers_out_of_range_is_usage_error(monkeypatch, capsys):
     # validated before any pool exists, so no process is started
     for workers in ("0", "-3", "100000"):
-        for target in (["verify", "theorem1"], ["explore", "converse"]):
+        for target in (["verify", "theorem1"], ["explore", "converse"], ["verify", "remark"]):
             code, out, err = run_cli(
                 target + ["--n", "2", "--workers", workers], None, monkeypatch, capsys
             )
@@ -207,7 +207,8 @@ def test_workers_out_of_range_is_usage_error(monkeypatch, capsys):
 
 def test_negative_witness_cap_is_usage_error(monkeypatch, capsys):
     # a negative cap used to run the scan and print an empty witness list
-    for target in (["verify", "theorem1"], ["explore", "converse"]):
+    # (remark ignored the cap, --workers and --mode altogether)
+    for target in (["verify", "theorem1"], ["explore", "converse"], ["verify", "remark"]):
         code, out, err = run_cli(
             target + ["--n", "2", "--witness-cap", "-5", "--json"], None, monkeypatch, capsys
         )
@@ -252,6 +253,35 @@ def test_explore_order_sensitivity(monkeypatch, capsys):
     )
     assert code == 0
     assert json.loads(out)["tallies"]["a1_order_mismatch"] == 0
+
+
+def test_scans_dispatch_through_module_names(monkeypatch, capsys):
+    # the benchmark wraps these names on `cli`; a handler that bound the
+    # functions at import would call the originals and bypass the wrappers
+    names = ("check_theorem1", "check_theorem2", "check_lemma1", "check_reduction_claim",
+             "remark_counterexamples", "converse_scan", "order_sensitivity_scan")
+    calls = []
+
+    def recording(name, fn):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return call
+
+    for name in names:
+        monkeypatch.setattr(cli, name, recording(name, getattr(cli, name)))
+    for args in (["verify", "all"], ["explore", "converse"], ["explore", "order-sensitivity"]):
+        assert run_cli([*args, "--n", "1"], None, monkeypatch, capsys)[0] == 0
+    assert sorted(calls) == sorted(names)
+
+
+def test_verify_all_witness_cap_zero_keeps_no_witness(monkeypatch, capsys):
+    # remark used to keep its '00' witness whatever the cap
+    code, out, _ = run_cli(
+        ["verify", "all", "--n", "2", "--witness-cap", "0", "--json"], None, monkeypatch, capsys
+    )
+    assert code == 0
+    assert [len(doc["violations"]) for doc in json.loads(out)] == [0] * 5
 
 
 def test_bench_growth_csv(monkeypatch, capsys):
@@ -319,6 +349,7 @@ def test_bench_store_checked_before_work(monkeypatch, capsys):
     (["check", "--algo", "a1", "--order", "shuffle:1:2", "-"], "1\n", "bad --order 'shuffle:1:2'"),
     (["bench", "growth", "--family", "random_half:x", "--n-max", "2"], None,
      "bad --family 'random_half:x'"),
+    (["verify", "remark", "--mode", "bogus"], None, "bad --mode 'bogus'"),
 ])
 def test_malformed_flag_value_names_its_flag(args, stdin, message, monkeypatch, capsys):
     code, out, err = run_cli(args, stdin, monkeypatch, capsys)
@@ -424,6 +455,40 @@ GOLDEN_STDOUT = [
         '"property": "converse_gap_a1"}, {"matrix": "00\\n11", "property": "converse_gap_a1"}, '
         '{"matrix": "00\\n10\\n11", "property": "converse_gap_a1"}, {"matrix": "00\\n01\\n11", '
         '"property": "converse_gap_a1"}]}\n'
+    )),
+    (["explore", "order-sensitivity", "--n", "2", "--json"], 0, (
+        '{"spec": {"forbid_all_zero_column": false, "m_max": 4, "m_min": 1, '
+        '"mode": "exhaustive", "n": 2, "require_distinct_columns": false, "samples": null, '
+        '"seed": null}, "tallies": {"a1_order_mismatch": 0, "a2_permutation_sensitive": 0, '
+        '"a2_permutation_stable": 15, "violations": 0}, "tested": 15, "violations": []}\n'
+    )),
+    (["verify", "all", "--n", "2"], 0, (
+        "theorem1: tested=15 a1_false=10 a1_true=5 converse_gap_a1=8 has_heavy=13 no_heavy=2 "
+        "no_heavy_and_a1_false=2 violations=0\n"
+        "theorem1: ok (0 violations)\n"
+        "theorem2: tested=8 a2_false=1 a2_true=7 converse_gap_a2=0 has_heavy=7 "
+        "key_condition_hits=6 no_heavy=1 no_heavy_and_a2_false=1 violations=0\n"
+        "theorem2: ok (0 violations)\n"
+        "lemma1: tested=15 hypothesis_fails=10 hypothesis_holds=5 violations=0\n"
+        "lemma1: ok (0 violations)\n"
+        "claim: tested=15 has_heavy=13 no_heavy=2 unpaired_found=2 violations=0\n"
+        "claim: ok (0 violations)\n"
+        "remark: tested=1 confirmed=1 violations=0\n"
+        "  [remark_counterexample] '00'\n"
+        "remark: ok (0 violations)\n"
+    )),
+    (["explore", "converse", "--n", "2"], 0, (
+        "converse: tested=15 a2_checked=8 converse_gap_a1=8 converse_gap_a2=0 has_heavy=13 "
+        "no_heavy=2 violations=0\n"
+        "  [converse_gap_a1] '10'\n"
+        "  [converse_gap_a1] '00\\n10'\n"
+        "  [converse_gap_a1] '01'\n"
+        "  [converse_gap_a1] '00\\n01'\n"
+        "  [converse_gap_a1] '10\\n01'\n"
+        "  [converse_gap_a1] '00\\n11'\n"
+        "  [converse_gap_a1] '00\\n10\\n11'\n"
+        "  [converse_gap_a1] '00\\n01\\n11'\n"
+        "converse: ok (0 violations)\n"
     )),
     (["bench", "growth", "--n-max", "3", "--json"], 0, (
         '{"rows": [{"algo": "a1", "cache_hits": 0, "calls": 1, "elapsed_ns": 0, '

@@ -51,6 +51,19 @@ def test_parse_errors(text, err):
         parse_matrix(text)
 
 
+def test_parse_breaks_lines_only_at_newlines():
+    # str.splitlines() used to start a new row at a form feed, \x1c, \x85, ...
+    assert parse_matrix("10\x0c01").rows == (0b1001,)
+    m = parse_matrix("1\x0c0\n11")
+    assert (m.m, m.n) == (2, 2)
+    assert parse_matrix("1\x0b0\r\n0\x851\r1\u2028\x1c1").rows == (1, 2, 3)
+    # error line numbers count only \n, \r\n and \r
+    with pytest.raises(RaggedRows, match="line 2:"):
+        parse_matrix("1\x0c0\x1c01\r\n1\u20280")
+    with pytest.raises(BadCharacter, match="line 3:"):
+        parse_matrix("1 1\r\n0\x0b0\r2")
+
+
 def test_construction_guards():
     with pytest.raises(ValueError):
         BinaryMatrix((), 1)

@@ -111,6 +111,9 @@ def test_remark_report():
     assert report.tallies == {"confirmed": 1, "violations": 0}
     assert report.violations[0].matrix == "00"
     assert report.spec.mode == "fixed"
+    # the cap applies as in every other scan: no witness, same tallies
+    capped = remark_counterexamples(witness_cap=0)
+    assert capped.violations == () and capped.tallies == report.tallies
 
 
 def test_converse_scan_collects_known_witness():
@@ -139,6 +142,10 @@ def test_reports_deterministic_across_workers():
         lambda w: check_theorem2(constrained(3), workers=w),
         lambda w: check_lemma1(
             UniverseSpec(n=4, mode="random", samples=80, seed=5), workers=w
+        ),
+        # its bound perm_budget/perm_seed must reach the pool's workers
+        lambda w: order_sensitivity_scan(
+            UniverseSpec(n=5, mode="random", samples=12, seed=3), perm_budget=4, workers=w
         ),
     ):
         docs = {to_json(make(w)) for w in (1, 2)}
