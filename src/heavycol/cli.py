@@ -53,8 +53,60 @@ from .verification import (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises every usage error as a ValueError, which `main` reports in one line."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+# flag -> its add_argument keywords, for verify, explore and bench (and --json)
+_FLAGS = {
+    "--n": dict(type=int, default=3, help="column count of the universe"),
+    "--m-min": dict(type=int, default=1),
+    "--m-max": dict(type=int, default=None),
+    "--mode": dict(default="exhaustive", help="exhaustive or random:COUNT:SEED"),
+    "--perm-budget": dict(type=int, default=DEFAULT_PERM_BUDGET,
+                          help="permutations per matrix when n! is too many, at least 1"),
+    "--workers": dict(type=int, default=1, help=f"scan worker processes, 1..{MAX_WORKERS}"),
+    "--witness-cap": dict(type=int, default=DEFAULT_WITNESS_CAP,
+                          help="witness matrices kept per report, 0 or more"),
+    "--family": dict(default="full_cube", help="full_cube, random_half:SEED, or worst_found"),
+    "--n-min": dict(type=int, default=1),
+    "--n-max": dict(type=int, default=5),
+    "--algo": dict(choices=["a1", "a2", "both"], default="both"),
+    "--budget-ms": dict(type=int, default=2000,
+                        help="per-run wall-clock budget, positive; exceeded runs are marked"),
+    "--store": dict(default=None, help="baseline/specimen directory"),
+    "--save": dict(action="store_true", help="store the table as the new baseline"),
+    "--json": dict(action="store_true", help="emit one JSON document"),
+}
+_SCAN = ("--workers", "--witness-cap", "--json")
+_UNIVERSE = ("--n", "--m-min", "--m-max", "--mode", *_SCAN)
+_BENCH = ("--family", "--n-min", "--n-max", "--algo", "--budget-ms", "--store", "--json")
+
+# command -> target -> (the name of its scan function in this module, or None,
+# and the only flags the parser offers it).  A scan function is looked up on
+# every call, so a wrapper set on this module is the one run.
+_TARGETS = {
+    "verify": {
+        "theorem1": ("check_theorem1", _UNIVERSE),
+        "theorem2": ("check_theorem2", _UNIVERSE),
+        "lemma1": ("check_lemma1", _UNIVERSE),
+        "claim": ("check_reduction_claim", _UNIVERSE),
+        "remark": ("remark_counterexamples", _SCAN),
+        "all": (None, _UNIVERSE),  # every target above
+    },
+    "explore": {
+        "converse": ("converse_scan", _UNIVERSE),
+        "order-sensitivity": ("order_sensitivity_scan", (*_UNIVERSE, "--perm-budget")),
+    },
+    "bench": {"growth": (None, (*_BENCH, "--save")), "compare": (None, _BENCH)},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="heavycol",
         description="Heavy-column certificates for binary matrices, plus desk-scale verification.",
     )
@@ -63,30 +115,16 @@ def build_parser() -> argparse.ArgumentParser:
     def add_input(p):
         p.add_argument("input", help="matrix file, or '-' for standard input")
 
-    def add_json(p):
-        p.add_argument("--json", action="store_true", help="emit one JSON document")
-
-    def add_universe(p):
-        p.add_argument("--n", type=int, default=3, help="column count of the universe")
-        p.add_argument("--m-min", type=int, default=1)
-        p.add_argument("--m-max", type=int, default=None)
-        p.add_argument("--mode", default="exhaustive",
-                       help="exhaustive or random:COUNT:SEED")
-        p.add_argument("--workers", type=int, default=1,
-                       help=f"scan worker processes, 1..{MAX_WORKERS}")
-        p.add_argument("--witness-cap", type=int, default=DEFAULT_WITNESS_CAP,
-                       help="witness matrices kept per report, 0 or more")
-
     p = sub.add_parser("check", help="run a certificate procedure on one matrix")
     p.add_argument("--algo", choices=["a1", "a2"], required=True)
     p.add_argument("--order", default="ascending",
                    help="a1 column-processing order: ascending or shuffle:SEED")
     p.add_argument("--memo", action="store_true", help="memoize the recursion")
-    add_json(p)
+    p.add_argument("--json", **_FLAGS["--json"])
     add_input(p)
 
     p = sub.add_parser("oracle", help="list heavy columns by direct counting")
-    add_json(p)
+    p.add_argument("--json", **_FLAGS["--json"])
     add_input(p)
 
     p = sub.add_parser("analyze", help="structure report: properties, conjugacy, unpaired rows")
@@ -94,34 +132,19 @@ def build_parser() -> argparse.ArgumentParser:
                    help="show a sequential reduction anchored at the unpaired witness")
     p.add_argument("--trace-at", metavar="ROW:COL", default=None,
                    help="show a sequential reduction anchored at this row and column")
-    add_json(p)
+    p.add_argument("--json", **_FLAGS["--json"])
     add_input(p)
 
-    p = sub.add_parser("verify", help="machine-check a guarantee over a universe")
-    p.add_argument("target", choices=[*_VERIFY_TARGETS, "all"])
-    add_universe(p)
-    add_json(p)
-
-    p = sub.add_parser("explore", help="tally open-question scans")
-    p.add_argument("target", choices=["converse", "order-sensitivity"])
-    add_universe(p)
-    p.add_argument("--perm-budget", type=int, default=DEFAULT_PERM_BUDGET,
-                   help="permutations per matrix when n! is too many, at least 1")
-    add_json(p)
-
-    p = sub.add_parser("bench", help="recursion growth tables and baseline comparison")
-    p.add_argument("action", choices=["growth", "compare"])
-    p.add_argument("--family", default="full_cube",
-                   help="full_cube, random_half:SEED, or worst_found")
-    p.add_argument("--n-min", type=int, default=1)
-    p.add_argument("--n-max", type=int, default=5)
-    p.add_argument("--algo", choices=["a1", "a2", "both"], default="both")
-    p.add_argument("--budget-ms", type=int, default=2000,
-                   help="per-run wall-clock budget, positive; exceeded runs are marked")
-    p.add_argument("--store", default=None, help="baseline/specimen directory")
-    p.add_argument("--save", action="store_true",
-                   help="growth only: store the table as the new baseline")
-    add_json(p)
+    for command, dest, help in (
+        ("verify", "target", "machine-check a guarantee over a universe"),
+        ("explore", "target", "tally open-question scans"),
+        ("bench", "action", "recursion growth tables and baseline comparison"),
+    ):
+        targets = sub.add_parser(command, help=help).add_subparsers(dest=dest, required=True)
+        for target, (_, flags) in _TARGETS[command].items():
+            p = targets.add_parser(target)
+            for flag in flags:
+                p.add_argument(flag, **_FLAGS[flag])
 
     return parser
 
@@ -174,9 +197,7 @@ def _parse_order(text: str):
 
 
 def _parse_mode(args) -> dict:
-    kwargs = dict(n=args.n, m_min=args.m_min)
-    if args.m_max is not None:
-        kwargs["m_max"] = args.m_max
+    kwargs = dict(n=args.n, m_min=args.m_min, m_max=args.m_max)
     if args.mode == "exhaustive":
         return {**kwargs, "mode": "exhaustive"}
     with suppress(ValueError):
@@ -293,20 +314,6 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-# CLI target -> the name of its scan function in this module.  The function
-# is looked up on every call, so a wrapper set on this module is the one run.
-_SCANS = {
-    "theorem1": "check_theorem1",
-    "theorem2": "check_theorem2",
-    "lemma1": "check_lemma1",
-    "claim": "check_reduction_claim",
-    "remark": "remark_counterexamples",
-    "converse": "converse_scan",
-    "order-sensitivity": "order_sensitivity_scan",
-}
-_VERIFY_TARGETS = ("theorem1", "theorem2", "lemma1", "claim", "remark")
-
-
 def _print_scan_human(name: str, report: ScanReport) -> None:
     tallies = " ".join(f"{k}={v}" for k, v in sorted(report.tallies.items()))
     print(f"{name}: tested={report.tested} {tallies}")
@@ -317,22 +324,19 @@ def _print_scan_human(name: str, report: ScanReport) -> None:
 
 
 def _cmd_scan(args) -> int:
-    base = _parse_mode(args)
-    targets = _VERIFY_TARGETS if args.target == "all" else (args.target,)
-    options = {"workers": args.workers, "witness_cap": args.witness_cap}
-    if args.target == "order-sensitivity":
-        options["perm_budget"] = args.perm_budget
+    table = _TARGETS[args.command]
+    targets = [t for t, (name, _) in table.items() if name] if args.target == "all" else [args.target]
+    base = _parse_mode(args) if "mode" in args else None
+    options = {k: vars(args)[k] for k in ("workers", "witness_cap", "perm_budget") if k in args}
     reports = []
     for target in targets:
-        scan = globals()[_SCANS[target]]
-        if target == "remark":
-            reports.append(scan(**options))
-            continue
-        constrained = target == "theorem2"
-        spec = UniverseSpec(
-            **base, require_distinct_columns=constrained, forbid_all_zero_column=constrained
-        )
-        reports.append(scan(spec, **options))
+        name, flags = table[target]
+        spec = ()
+        if "--mode" in flags:
+            constrained = target == "theorem2"
+            spec = (UniverseSpec(**base, require_distinct_columns=constrained,
+                                 forbid_all_zero_column=constrained),)
+        reports.append(globals()[name](*spec, **options))
     if args.json:
         print(to_json(reports if args.target == "all" else reports[0]))
     else:
@@ -401,8 +405,8 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return _DISPATCH[args.command](args)
     except (MatrixError, UniverseTooLarge, MissingBaseline, ValueError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

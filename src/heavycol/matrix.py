@@ -157,13 +157,8 @@ def is_heavy(matrix: BinaryMatrix, k: int) -> bool:
 
 
 def has_heavy_column(matrix: BinaryMatrix) -> bool:
-    """Shared early-exit predicate: does any column have ones >= zeros?"""
-    m = matrix.m
-    rows = matrix.rows
-    for shift in range(matrix.n):
-        if 2 * sum((r >> shift) & 1 for r in rows) >= m:
-            return True
-    return False
+    """Does any column have ones >= zeros?"""
+    return bool(heavy_columns(matrix))
 
 
 def heavy_columns(matrix: BinaryMatrix) -> set[int]:

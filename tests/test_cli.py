@@ -197,10 +197,9 @@ def test_verify_exhaustive_too_large(monkeypatch, capsys):
 def test_workers_out_of_range_is_usage_error(monkeypatch, capsys):
     # validated before any pool exists, so no process is started
     for workers in ("0", "-3", "100000"):
-        for target in (["verify", "theorem1"], ["explore", "converse"], ["verify", "remark"]):
-            code, out, err = run_cli(
-                target + ["--n", "2", "--workers", workers], None, monkeypatch, capsys
-            )
+        for target in (["verify", "theorem1", "--n", "2"], ["explore", "converse", "--n", "2"],
+                       ["verify", "remark"]):
+            code, out, err = run_cli(target + ["--workers", workers], None, monkeypatch, capsys)
             assert code == 2 and out == ""
             assert err.count("\n") == 1 and f"workers must be in 1..{MAX_WORKERS}" in err
 
@@ -208,9 +207,10 @@ def test_workers_out_of_range_is_usage_error(monkeypatch, capsys):
 def test_negative_witness_cap_is_usage_error(monkeypatch, capsys):
     # a negative cap used to run the scan and print an empty witness list
     # (remark ignored the cap, --workers and --mode altogether)
-    for target in (["verify", "theorem1"], ["explore", "converse"], ["verify", "remark"]):
+    for target in (["verify", "theorem1", "--n", "2"], ["explore", "converse", "--n", "2"],
+                   ["verify", "remark"]):
         code, out, err = run_cli(
-            target + ["--n", "2", "--witness-cap", "-5", "--json"], None, monkeypatch, capsys
+            target + ["--witness-cap", "-5", "--json"], None, monkeypatch, capsys
         )
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and "witness cap must be at least 0" in err
@@ -349,12 +349,66 @@ def test_bench_store_checked_before_work(monkeypatch, capsys):
     (["check", "--algo", "a1", "--order", "shuffle:1:2", "-"], "1\n", "bad --order 'shuffle:1:2'"),
     (["bench", "growth", "--family", "random_half:x", "--n-max", "2"], None,
      "bad --family 'random_half:x'"),
-    (["verify", "remark", "--mode", "bogus"], None, "bad --mode 'bogus'"),
 ])
 def test_malformed_flag_value_names_its_flag(args, stdin, message, monkeypatch, capsys):
     code, out, err = run_cli(args, stdin, monkeypatch, capsys)
     assert (code, out) == (2, "")
     assert err.count("\n") == 1 and err.startswith("ValueError: " + message + "; use ")
+
+
+_UNREAD_FLAGS = [
+    (["verify", "remark", "--n", "99"], "--n"),
+    (["verify", "remark", "--m-min", "7"], "--m-min"),
+    (["verify", "remark", "--m-max", "1"], "--m-max"),
+    (["verify", "remark", "--mode", "random:5:1"], "--mode"),
+    (["verify", "remark", "--mode", "bogus"], "--mode"),
+    (["explore", "converse", "--perm-budget", "-3"], "--perm-budget"),
+    (["explore", "converse", "--perm-budget", "5"], "--perm-budget"),
+    (["bench", "compare", "--save"], "--save"),
+]
+
+
+@pytest.mark.parametrize(
+    "args, flag", _UNREAD_FLAGS, ids=[" ".join(args) for args, _ in _UNREAD_FLAGS]
+)
+def test_flag_the_target_does_not_read_is_usage_error(args, flag, tmp_path, monkeypatch, capsys):
+    # each of these used to be accepted and ignored (remark scans one fixed
+    # matrix, converse permutes nothing, compare saves nothing), exiting 0
+    store = ["--n-max", "2", "--store", str(tmp_path)] if args[0] == "bench" else []
+    if store:
+        assert run_cli(["bench", "growth", "--save", *store], None, monkeypatch, capsys)[0] == 0
+    saved = {path: path.read_bytes() for path in tmp_path.iterdir()}
+    assert bool(saved) == bool(store)
+    code, out, err = run_cli([*args, *store], None, monkeypatch, capsys)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and flag in err
+    assert {path: path.read_bytes() for path in tmp_path.iterdir()} == saved
+
+
+_ARGPARSE_ERRORS = [
+    ["check", "--algo", "a3", "-"],
+    ["verify", "bogus"],
+    ["verify", "theorem1", "--workers", "x"],
+    [],
+]
+
+
+@pytest.mark.parametrize(
+    "args", _ARGPARSE_ERRORS, ids=[" ".join(args) or "no command" for args in _ARGPARSE_ERRORS]
+)
+def test_argparse_error_returns_2_with_one_line(args, monkeypatch, capsys):
+    # argparse used to print its usage text and leave main through SystemExit
+    code, out, err = run_cli(args, None, monkeypatch, capsys)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("ValueError: ")
+
+
+def test_help_exits_0_and_names_only_the_targets_flags(capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["verify", "remark", "--help"])
+    assert exited.value.code == 0
+    usage = capsys.readouterr().out
+    assert set(re.findall(r"--[a-z-]+", usage)) == {"--help", "--workers", "--witness-cap", "--json"}
 
 
 # Matrix-ish text: the format's own characters plus any stray character.
