@@ -51,6 +51,8 @@ are a2's 5, 7, 21, 28 and 32.  One frame function, ``_certify``, runs both.
 
 Verdicts carry a witness naming the return site above (tag plus line number
 and the triggering column where one exists) and recursion statistics.
+Witnesses are frozen, so one instance serves every run that returns at the
+same site.
 
 ``run_a1``/``run_a2`` take one validated ``BinaryMatrix``; below that root a
 frame is an int ``mask`` of root row positions (bit i for root row i+1) plus
@@ -62,6 +64,16 @@ the line-10/20 test is ``_heavy`` negated ("every column has more zeros than
 ones" is exactly "no column is heavy").  No frame copies a row.  The mask
 names root positions, not row values, so duplicate rows are counted once per
 occurrence and row order plays no part, exactly as with explicit row lists.
+
+Leaf children are counted, not called.  A child with one column returns the
+line-10/20 heavy test its parent has just passed (True), and under a2 a child
+with one row and more than one column returns True at line 1; neither reaches
+the memo cache.  So the parent adds such a child to ``calls`` at depth + 1
+(raising ``max_depth`` to it) and goes on, and ``_certify`` only ever runs on
+frames with at least two columns (and, under a2, at least two rows) below the
+root.  ``calls`` still counts every frame of the listings, leaves included,
+and ``max_depth``, ``cache_hits``, verdicts and witnesses are those of the
+listings' recursion.
 
 Memoized runs produce identical verdict values; the cache is private to one
 run, whose algorithm and column order are fixed, and keyed on (n, projected
@@ -166,7 +178,6 @@ def _validate_order(order: ColumnOrder, n: int) -> None:
     raise ValueError(f"bad column order {order!r}")
 
 
-@lru_cache(maxsize=1024)
 def _order_for(order: ColumnOrder, n_cols: int) -> tuple[int, ...]:
     """Processing order of 1..n_cols at one recursion level."""
     if order == ASCENDING:
@@ -181,27 +192,31 @@ def _order_for(order: ColumnOrder, n_cols: int) -> tuple[int, ...]:
     return tuple(k for k in arg if k <= n_cols)
 
 
+@lru_cache(maxsize=1024)
+def _orders(order: ColumnOrder, n: int) -> tuple[tuple[int, ...], ...]:
+    """The processing order of every width up to n, indexed by width."""
+    return tuple(_order_for(order, w) for w in range(n + 1))
+
+
+_witness = lru_cache(maxsize=None)(Witness)
+
+
 class _Run:
     """Mutable per-run context: a1 or a2, statistics, cache, witness, budget."""
 
-    __slots__ = ("a2", "calls", "max_depth", "cache_hits", "cache", "order", "deadline", "witness")
+    __slots__ = ("a2", "calls", "max_depth", "cache_hits", "cache", "orders", "deadline", "witness")
 
-    def __init__(self, a2: bool, order: ColumnOrder, memoize: bool, budget_ns: int | None):
+    def __init__(self, a2: bool, orders: tuple, memoize: bool, budget_ns: int | None):
+        if budget_ns is not None and budget_ns <= 0:
+            raise ValueError(f"budget must be positive or None, got {budget_ns} ns")
         self.a2 = a2
         self.calls = 0
         self.max_depth = 0
         self.cache_hits = 0
         self.cache: dict | None = {} if memoize else None
-        self.order = order
+        self.orders = orders
         self.deadline = None if budget_ns is None else time.monotonic_ns() + budget_ns
-        self.witness: tuple[str, int | None, bool] | None = None
-
-    def enter(self, depth: int) -> None:
-        self.calls += 1
-        if depth > self.max_depth:
-            self.max_depth = depth
-        if self.deadline is not None and time.monotonic_ns() >= self.deadline:
-            raise BudgetExceeded("run exceeded its wall-clock budget")
+        self.witness: tuple[str, int | None] | None = None
 
 
 def _heavy(mask: int, count: int, cols) -> bool:
@@ -225,20 +240,16 @@ def _memo_rows(mask: int, cols) -> tuple[int, ...]:
 
 
 def _certify(mask: int, cols: tuple, depth: int, ctx: _Run) -> bool:
-    """One frame of a1, or of a2 when ``ctx.a2`` adds lines 0 and 13-14."""
-    ctx.enter(depth)
+    """One frame of a1, or of a2 when ``ctx.a2`` adds lines 13-14, with at
+    least two columns; its leaf children are counted without a call."""
+    ctx.calls += 1
+    if depth > ctx.max_depth:
+        ctx.max_depth = depth
+    if ctx.deadline is not None and time.monotonic_ns() >= ctx.deadline:
+        raise BudgetExceeded("run exceeded its wall-clock budget")
     a2 = ctx.a2
     count = mask.bit_count()
     n = len(cols)
-    if a2 and count == 1 and n > 1:
-        if depth == 0:
-            ctx.witness = (M1_BASE, None, True)
-        return True
-    if n == 1:
-        value = _heavy(mask, count, cols)
-        if depth == 0:
-            ctx.witness = (N1_BASE, 1, value)
-        return value
 
     key = None
     if ctx.cache is not None:
@@ -249,38 +260,57 @@ def _certify(mask: int, cols: tuple, depth: int, ctx: _Run) -> bool:
             return cached
 
     value, tag, col = True, EXHAUSTED_TRUE, None
-    for k in _order_for(ctx.order, n):
+    for k in ctx.orders[n]:
         m1 = mask & cols[k - 1]
         m0 = mask ^ m1
         zeros = m0.bit_count()
         if a2 and zeros == 1:
             value, tag, col = True, KEY_CONDITION, k
             break
+        ones = count - zeros
         child = cols[: k - 1] + cols[k:]
-        if (m0 and not _heavy(m0, zeros, child)) or (m1 and not _heavy(m1, count - zeros, child)):
+        if (m0 and not _heavy(m0, zeros, child)) or (m1 and not _heavy(m1, ones, child)):
             value, tag, col = False, NOHEAVY_CHILD, k
             break
-        if (m0 and not _certify(m0, child, depth + 1, ctx)) or (
-            m1 and not _certify(m1, child, depth + 1, ctx)
-        ):
-            value, tag, col = False, CHILD_FALSE, k
-            break
+        if n == 2:
+            # one-column children: each returns the heavy test just passed
+            leaves = (zeros > 0) + (ones > 0)
+        else:
+            # a2's one-row child returns True at line 1; its zero side never
+            # has one row here, since that is the key condition
+            leaves = a2 and ones == 1
+            if (m0 and not _certify(m0, child, depth + 1, ctx)) or (
+                m1 and not leaves and not _certify(m1, child, depth + 1, ctx)
+            ):
+                value, tag, col = False, CHILD_FALSE, k
+                break
+        if leaves:
+            ctx.calls += leaves
+            if depth >= ctx.max_depth:
+                ctx.max_depth = depth + 1
 
     if ctx.cache is not None:
         ctx.cache[key] = value
     if depth == 0:
-        ctx.witness = (tag, col, value)
+        ctx.witness = (tag, col)
     return value
 
 
 def _run(
     a2: bool, matrix: BinaryMatrix, order: ColumnOrder, memoize: bool, budget_ns: int | None
 ) -> Verdict:
-    ctx = _Run(a2, order, memoize, budget_ns)
+    ctx = _Run(a2, _orders(order, matrix.n), memoize, budget_ns)
     started = time.perf_counter_ns()
-    value = _certify((1 << matrix.m) - 1, column_patterns(matrix.rows, matrix.n), 0, ctx)
-    tag, col, wvalue = ctx.witness
-    assert wvalue == value
+    mask = (1 << matrix.m) - 1
+    cols = column_patterns(matrix.rows, matrix.n)
+    # the root's own base cases (lines 0-7); no frame below the root meets them
+    if a2 and matrix.m == 1 and matrix.n > 1:
+        ctx.calls, value, tag, col = 1, True, M1_BASE, None
+    elif matrix.n == 1:
+        ctx.calls, value, tag, col = 1, _heavy(mask, matrix.m, cols), N1_BASE, 1
+    else:
+        value = _certify(mask, cols, 0, ctx)
+        tag, col = ctx.witness
     lines = _A2_LINES if a2 else _A1_LINES
     stats = RecursionStats(
         calls=ctx.calls,
@@ -288,7 +318,7 @@ def _run(
         cache_hits=ctx.cache_hits,
         elapsed_ns=time.perf_counter_ns() - started,
     )
-    return Verdict(value=value, witness=Witness(tag, col, lines[(tag, value)]), stats=stats)
+    return Verdict(value=value, witness=_witness(tag, col, lines[(tag, value)]), stats=stats)
 
 
 def run_a1(

@@ -5,8 +5,9 @@ Subcommands: check (run a1/a2), oracle (heavy columns by counting), analyze
 bench (recursion growth tables and baseline diffs).
 
 Exit codes: 0 success (for verify/explore, zero violations); 1 violations or
-behavioral regressions found; 2 usage or input errors, reported as one line
-on standard error.  --json emits exactly one JSON document on stdout.
+behavioral regressions found; 2 usage or input errors, or a check that ran
+out of its --budget-ms, reported as one line on standard error.  --json
+emits exactly one JSON document on stdout.
 """
 
 from __future__ import annotations
@@ -19,7 +20,15 @@ from contextlib import suppress
 from dataclasses import asdict
 from pathlib import Path
 
-from .algorithms import ASCENDING, RecursionStats, Verdict, run_a1, run_a2, shuffled_order
+from .algorithms import (
+    ASCENDING,
+    BudgetExceeded,
+    RecursionStats,
+    Verdict,
+    run_a1,
+    run_a2,
+    shuffled_order,
+)
 from .matrix import (
     BinaryMatrix,
     MatrixError,
@@ -60,7 +69,8 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-# flag -> its add_argument keywords, for verify, explore and bench (and --json)
+# flag -> its add_argument keywords, for verify, explore and bench (and --json,
+# --budget-ms for check)
 _FLAGS = {
     "--n": dict(type=int, default=3, help="column count of the universe"),
     "--m-min": dict(type=int, default=1),
@@ -76,7 +86,8 @@ _FLAGS = {
     "--n-max": dict(type=int, default=5),
     "--algo": dict(choices=["a1", "a2", "both"], default="both"),
     "--budget-ms": dict(type=int, default=2000,
-                        help="per-run wall-clock budget, positive; exceeded runs are marked"),
+                        help="per-run wall-clock budget in ms, positive; bench marks a run "
+                             "that exceeds it, check exits 2"),
     "--store": dict(default=None, help="baseline/specimen directory"),
     "--save": dict(action="store_true", help="store the table as the new baseline"),
     "--json": dict(action="store_true", help="emit one JSON document"),
@@ -120,6 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", default="ascending",
                    help="a1 column-processing order: ascending or shuffle:SEED")
     p.add_argument("--memo", action="store_true", help="memoize the recursion")
+    p.add_argument("--budget-ms", **_FLAGS["--budget-ms"])
     p.add_argument("--json", **_FLAGS["--json"])
     add_input(p)
 
@@ -237,10 +249,11 @@ def _cmd_check(args) -> int:
     if args.algo == "a2" and order != ASCENDING:
         raise ValueError(f"bad --order {args.order!r} for a2; its column loop is fixed ascending")
     matrix = _read_matrix(args.input)
+    budget_ns = args.budget_ms * 1_000_000
     if args.algo == "a2":
-        verdict = run_a2(matrix, memoize=args.memo)
+        verdict = run_a2(matrix, memoize=args.memo, budget_ns=budget_ns)
     else:
-        verdict = run_a1(matrix, order=order, memoize=args.memo)
+        verdict = run_a1(matrix, order=order, memoize=args.memo, budget_ns=budget_ns)
     doc = report_dict(matrix, args.algo, verdict)
     if args.json:
         print(to_json(doc))
@@ -408,7 +421,9 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return _DISPATCH[args.command](args)
-    except (MatrixError, UniverseTooLarge, MissingBaseline, ValueError, OSError) as exc:
+    except (
+        MatrixError, UniverseTooLarge, MissingBaseline, BudgetExceeded, ValueError, OSError
+    ) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

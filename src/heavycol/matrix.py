@@ -67,13 +67,10 @@ class BinaryMatrix:
             raise MatrixError(f"column count must be at least 1, got {self.n}")
         if not self.rows:
             raise MatrixError("a matrix needs at least one row")
-        mask = (1 << self.n) - 1
-        acc = 0
-        for r in self.rows:
-            if r < 0:
-                raise MatrixError(f"negative row encoding {r}")
-            acc |= r
-        if acc & ~mask:
+        if min(self.rows) < 0:
+            first = next(r for r in self.rows if r < 0)
+            raise MatrixError(f"negative row encoding {first}")
+        if max(self.rows) >> self.n:
             raise MatrixError(f"row uses bits beyond column {self.n}")
 
     @property
@@ -168,7 +165,7 @@ def heavy_columns(matrix: BinaryMatrix) -> set[int]:
     return {
         shift + 1
         for shift in range(matrix.n)
-        if 2 * sum((r >> shift) & 1 for r in rows) >= m
+        if 2 * sum([r >> shift & 1 for r in rows]) >= m
     }
 
 

@@ -18,7 +18,6 @@ table is still emitted.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import random
 from dataclasses import astuple, dataclass, fields
@@ -190,6 +189,9 @@ def profile_family(
 
 
 def config_digest(family, n_range, algos: tuple[str, ...]) -> str:
+    # imported here: hashlib loads OpenSSL, which only --store needs
+    import hashlib
+
     ns = list(n_range)
     text = f"{family_label(family)}|{min(ns)}-{max(ns)}|{','.join(algos)}"
     return hashlib.sha256(text.encode()).hexdigest()[:12]

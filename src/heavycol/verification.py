@@ -35,7 +35,6 @@ import math
 import random
 from bisect import bisect_right
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import accumulate, permutations
@@ -129,21 +128,51 @@ class ScanReport:
         return self.tallies.get("violations", 0)
 
 
-def _passes_constraints(spec: UniverseSpec, matrix: BinaryMatrix) -> bool:
-    if not (spec.require_distinct_columns or spec.forbid_all_zero_column):
-        return True
-    props = matrix_properties(matrix)
-    if spec.require_distinct_columns and not props.distinct_columns:
-        return False
-    if spec.forbid_all_zero_column and props.has_all_zero_column:
-        return False
+@lru_cache(maxsize=64)
+def _constraint_masks(spec: UniverseSpec) -> tuple[int, ...]:
+    """The spec's column constraints as row sets a passing matrix must meet.
+
+    A matrix of `spec.n` columns is a row set: its rank has bit v set for row
+    encoding v.  Column k is all-zero exactly when the rank misses O_k, the
+    rows with a one in column k; columns j and k are equal exactly when it
+    misses D_jk, the rows that differ there.
+    """
+    rows = range(2**spec.n)
+    masks = []
+    if spec.forbid_all_zero_column:
+        masks += [sum(1 << v for v in rows if v >> k & 1) for k in range(spec.n)]
+    if spec.require_distinct_columns:
+        masks += [
+            sum(1 << v for v in rows if (v >> j ^ v >> k) & 1)
+            for j in range(spec.n) for k in range(j + 1, spec.n)
+        ]
+    return tuple(masks)
+
+
+def _passes_constraints(masks: tuple[int, ...], rank: int) -> bool:
+    """Does the row set `rank` meet every mask of `_constraint_masks`?"""
+    for mask in masks:
+        if not rank & mask:
+            return False
     return True
+
+
+def _byte_rows(offset: int) -> tuple[tuple[int, ...], ...]:
+    """Entry b: offset + v for each set bit v of byte b, ascending."""
+    table = [()]
+    for v in range(offset, offset + 8):
+        table += [rows + (v,) for rows in table]
+    return tuple(table)
+
+
+# An exhaustive rank has at most 2^EXHAUSTIVE_MAX_N = 16 bits: two bytes.
+_BYTE_ROWS = (_byte_rows(0), _byte_rows(8))
 
 
 def _matrix_from_rank(rank: int, n: int) -> BinaryMatrix:
     """Subset-rank to matrix: bit v of rank selects row encoding v."""
-    rows = tuple(v for v in range(2**n) if (rank >> v) & 1)
-    return BinaryMatrix(rows, n)
+    low, high = _BYTE_ROWS
+    return BinaryMatrix(low[rank & 255] + high[rank >> 8], n)
 
 
 @lru_cache(maxsize=64)
@@ -161,25 +190,22 @@ def _draw_random(spec: UniverseSpec, index: int) -> BinaryMatrix:
     rng = random.Random(f"{spec.seed}:{index}")
     space = 2**spec.n
     bounds = _size_bounds(space, spec.m_min, spec.m_max)
+    masks = _constraint_masks(spec)
     for _ in range(100_000):
         m = spec.m_min + bisect_right(bounds, rng.randrange(bounds[-1]))
         rows = tuple(sorted(rng.sample(range(space), m)))
-        matrix = BinaryMatrix(rows, spec.n)
-        if _passes_constraints(spec, matrix):
-            return matrix
+        if not masks or _passes_constraints(masks, sum(1 << r for r in rows)):
+            return BinaryMatrix(rows, spec.n)
     raise ValueError(f"constraints reject everything near seed {spec.seed}:{index}")
 
 
 def _iter_range(spec: UniverseSpec, lo: int, hi: int) -> Iterator[BinaryMatrix]:
     if spec.mode == "exhaustive":
-        top = spec.m_max
+        bottom, top = spec.m_min, spec.m_max
+        masks = _constraint_masks(spec)
         for rank in range(lo, hi):
-            m = rank.bit_count()
-            if not spec.m_min <= m <= top:
-                continue
-            matrix = _matrix_from_rank(rank, spec.n)
-            if _passes_constraints(spec, matrix):
-                yield matrix
+            if bottom <= rank.bit_count() <= top and _passes_constraints(masks, rank):
+                yield _matrix_from_rank(rank, spec.n)
     else:
         for index in range(lo, hi):
             yield _draw_random(spec, index)
@@ -360,6 +386,14 @@ def _report(spec: UniverseSpec, partials, keys: tuple[str, ...], witness_cap: in
     witnesses = tuple(case for _, _, cases in partials for case in cases)[:witness_cap]
     final = {key: tallies[key] for key in keys}
     return ScanReport(spec=spec, tested=tested, tallies=final, violations=witnesses)
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """`concurrent.futures.ProcessPoolExecutor`, imported on first call: only a
+    scan with more than one worker loads it, and `multiprocessing` with it."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+
+    return pool(max_workers=max_workers)
 
 
 def _run_scan(

@@ -1,8 +1,12 @@
 import io
 import json
+import os
 import re
+import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -218,12 +222,56 @@ def test_negative_witness_cap_is_usage_error(monkeypatch, capsys):
 
 def test_nonpositive_budget_is_usage_error(monkeypatch, capsys):
     # a budget of 0 or less used to time out every row and still exit 0
-    for budget in ("-1", "0"):
-        code, out, err = run_cli(
-            ["bench", "growth", "--n-max", "2", "--budget-ms", budget], None, monkeypatch, capsys
-        )
-        assert code == 2 and out == ""
-        assert err.count("\n") == 1 and "budget must be positive" in err
+    for args, stdin in (
+        (["bench", "growth", "--n-max", "2"], None),
+        (["check", "--algo", "a1", "-"], "10\n01\n"),
+        (["check", "--algo", "a2", "--memo", "-"], "1\n"),
+    ):
+        for budget in ("-1", "0"):
+            code, out, err = run_cli([*args, "--budget-ms", budget], stdin, monkeypatch, capsys)
+            assert code == 2 and out == ""
+            assert err.count("\n") == 1 and "budget must be positive" in err
+
+
+@pytest.mark.parametrize("algo", ["a1", "a2"])
+def test_check_budget_exceeded_exits_2(algo, monkeypatch, capsys):
+    # the 2x12 all-ones matrix needs about 1.3e9 a2 frames; check used to
+    # have no bound at all
+    started = time.monotonic()
+    code, out, err = run_cli(
+        ["check", "--algo", algo, "--budget-ms", "50", "--json", "-"], "1" * 12 + "\n" + "1" * 12,
+        monkeypatch, capsys,
+    )
+    assert time.monotonic() - started < 5
+    assert (code, out) == (2, "")
+    assert err == "BudgetExceeded: run exceeded its wall-clock budget\n"
+
+
+def test_commands_without_a_pool_or_store_load_neither(tmp_path):
+    # the process pool (concurrent.futures, multiprocessing) and hashlib
+    # (OpenSSL) cost memory in every process that imports them
+    matrix = tmp_path / "matrix.txt"
+    matrix.write_text(GOLDEN_MATRIX)
+    commands = [
+        ["verify", "theorem1", "--n", "2", "--json"],
+        ["check", "--algo", "a2", str(matrix)],
+        ["oracle", str(matrix)],
+    ]
+    script = (
+        "import contextlib, io, sys\n"
+        "from heavycol.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(args) for args in {commands!r}]\n"
+        "loaded = ('concurrent.futures', 'multiprocessing', 'hashlib')\n"
+        "print(codes, [name for name in loaded if name in sys.modules])\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout == "[0, 0, 0] []\n"
 
 
 def test_perm_budget_below_one_is_usage_error(monkeypatch, capsys):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -71,6 +73,37 @@ def test_construction_guards():
         BinaryMatrix((4,), 2)  # stray high bit
     with pytest.raises(TooWide):
         BinaryMatrix((0,), 64)
+
+
+def _row_error(rows, n):
+    # the row checks as a loop: the first negative row wins over any
+    # over-wide one, wherever it sits
+    acc = 0
+    for r in rows:
+        if r < 0:
+            return f"negative row encoding {r}"
+        acc |= r
+    return f"row uses bits beyond column {n}" if acc >> n else None
+
+
+def test_row_check_messages():
+    assert _row_error((5, -3, 9, -1), 2) == "negative row encoding -3"
+    rng = random.Random(4)
+    cases = [((5, -3, 9, -1), 2), ((1, 8, 2), 3), ((8, -2), 3), ((-7,), 1), ((3, 0, 1), 2)]
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        cases.append((tuple(rng.randint(-3, 2**n + 3) for _ in range(rng.randint(1, 6))), n))
+    raised = 0
+    for rows, n in cases:
+        expected = _row_error(rows, n)
+        if expected is None:
+            assert BinaryMatrix(rows, n).rows == rows
+            continue
+        with pytest.raises(MatrixError) as caught:
+            BinaryMatrix(rows, n)
+        assert str(caught.value) == expected
+        raised += 1
+    assert raised > 100
 
 
 def test_column_weight_examples():

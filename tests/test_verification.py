@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -13,7 +14,7 @@ from heavycol import (
     remark_counterexamples,
     UniverseSpec,
 )
-from heavycol import verification
+from heavycol import BinaryMatrix, matrix_properties, verification
 from heavycol.cli import to_json
 from heavycol.verification import MAX_WORKERS, UniverseTooLarge
 
@@ -222,7 +223,6 @@ def test_perm_budget_below_one_rejected():
 def _draw_linear(spec, index):
     # the size pick as a linear walk over freshly computed subset counts
     import math
-    import random
 
     rng = random.Random(f"{spec.seed}:{index}")
     space = 2**spec.n
@@ -235,8 +235,17 @@ def _draw_linear(spec, index):
                 break
             pick -= w
         rows = tuple(sorted(rng.sample(range(space), m)))
-        if verification._passes_constraints(spec, verification.BinaryMatrix(rows, spec.n)):
+        if _meets_by_properties(spec, rows):
             return rows
+
+
+def _meets_by_properties(spec, rows):
+    # the column constraints read off matrix_properties' two flags
+    props = matrix_properties(BinaryMatrix(rows, spec.n))
+    return not (
+        (spec.require_distinct_columns and not props.distinct_columns)
+        or (spec.forbid_all_zero_column and props.has_all_zero_column)
+    )
 
 
 @pytest.mark.parametrize("spec", [
@@ -252,6 +261,41 @@ def test_random_draws_keep_their_stream(spec):
     # cached running totals must pick the same size with the same RNG calls
     for index in range(spec.samples):
         assert verification._draw_random(spec, index).rows == _draw_linear(spec, index)
+
+
+def test_rank_rows_are_the_set_bits():
+    for n in range(1, 5):
+        for rank in range(1, 2 ** (2**n)):
+            rows = tuple(v for v in range(2**n) if rank >> v & 1)
+            assert verification._matrix_from_rank(rank, n).rows == rows
+
+
+_FLAGS = [(True, False), (False, True), (True, True)]
+
+
+def _rank_filter_mismatches(spec, row_sets):
+    masks = verification._constraint_masks(spec)
+    return [
+        rows for rows in row_sets
+        if verification._passes_constraints(masks, sum(1 << r for r in rows))
+        != _meets_by_properties(spec, rows)
+    ]
+
+
+@pytest.mark.parametrize("distinct, nonzero", _FLAGS)
+def test_rank_filter_matches_matrix_properties(distinct, nonzero):
+    flags = dict(require_distinct_columns=distinct, forbid_all_zero_column=nonzero)
+    for n in range(1, 5):
+        spec = UniverseSpec(n=n, **flags)
+        every = [tuple(v for v in range(2**n) if rank >> v & 1) for rank in range(1, 2 ** (2**n))]
+        assert _rank_filter_mismatches(spec, every) == []
+    rng = random.Random(f"{distinct}:{nonzero}")
+    for n in (5, 6):
+        spec = UniverseSpec(n=n, mode="random", samples=1, seed=0, **flags)
+        draws = [tuple(sorted(rng.sample(range(2**n), rng.randint(1, 12)))) for _ in range(500)]
+        kept = [rows for rows in draws if _meets_by_properties(spec, rows)]
+        assert 0 < len(kept) < len(draws)
+        assert _rank_filter_mismatches(spec, draws) == []
 
 
 def test_chunk_ranges_partition_exactly():

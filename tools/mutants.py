@@ -73,12 +73,29 @@ MUTANTS = [
         # one frame function serves a1 and a2, so both visit 1 before 0
         "children-1-before-0", "algorithms.py",
         "if (m0 and not _certify(m0, child, depth + 1, ctx)) or (\n"
-        "            m1 and not _certify(m1, child, depth + 1, ctx)\n"
-        "        ):",
-        "if (m1 and not _certify(m1, child, depth + 1, ctx)) or (\n"
-        "            m0 and not _certify(m0, child, depth + 1, ctx)\n"
-        "        ):",
+        "                m1 and not leaves and not _certify(m1, child, depth + 1, ctx)\n"
+        "            ):",
+        "if (m1 and not leaves and not _certify(m1, child, depth + 1, ctx)) or (\n"
+        "                m0 and not _certify(m0, child, depth + 1, ctx)\n"
+        "            ):",
         (f"{FAST}::test_all_of_small_universes[3]", f"{FAST}::test_a1_every_explicit_order[3]"),
+    ),
+    Mutant(
+        "leaf-children-not-counted", "algorithms.py",
+        "ctx.calls += leaves", "ctx.calls += 0",
+        (f"{FAST}::test_all_of_small_universes[2]", f"{FAST}::test_full_cube_up_to_6"),
+    ),
+    Mutant(
+        "leaf-depth-not-raised", "algorithms.py",
+        "ctx.max_depth = depth + 1", "ctx.max_depth = depth",
+        (f"{FAST}::test_all_of_small_universes[2]", f"{FAST}::test_full_cube_up_to_6"),
+    ),
+    Mutant(
+        # column 1's all-zero test dropped from the rank filter
+        "rank-filter-skips-zero-column", "verification.py",
+        "if v >> k & 1) for k in range(spec.n)]", "if v >> k & 1) for k in range(1, spec.n)]",
+        (f"{VERIFY}::test_rank_filter_matches_matrix_properties[False-True]",
+         f"{VERIFY}::test_rank_filter_matches_matrix_properties[True-True]"),
     ),
     Mutant(
         "bisect-left-size-draw", "verification.py",
