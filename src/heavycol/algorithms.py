@@ -75,6 +75,25 @@ root.  ``calls`` still counts every frame of the listings, leaves included,
 and ``max_depth``, ``cache_hits``, verdicts and witnesses are those of the
 listings' recursion.
 
+Value positions.  A plain run (no ``memoize``) of a root with distinct rows
+and n <= 4 columns recurses on row values instead: ``mask`` is the row-set
+rank, bit v set for each row value v (the rows are distinct exactly when its
+popcount is m), and ``cols`` is the constant tuple of ``O_k``, the values in
+0..2^n - 1 with a one in column k.  Every popcount is the one the row
+positions give, so verdicts, witnesses, ``calls`` and ``max_depth`` are
+unchanged by construction.  A non-root frame ``(mask, cols)`` is then the
+same whichever root of that width it sits under, and it keys one table per
+process for each (procedure, column order, n).  An entry is
+``(value, calls, height)``: the verdict, the frames of the subtree and its
+depth below the frame.  A hit adds ``calls`` and raises ``max_depth`` to
+depth + height; a miss runs the frame and stores its entry only once the
+subtree has finished, so a ``BudgetExceeded`` leaves no partial entry.
+Roots are never stored, so a table's keys lie in the 2- and 3-column
+subcubes of its root: at n = 4, 8 subcubes of 8 values and 24 of 4, at most
+8 * 255 + 24 * 15 = 2,400 entries.  Memoized runs (whose ``cache_hits`` must
+not move), duplicate-row roots and roots wider than 4 columns never use a
+table and keep the row-position recursion, at no extra cost per frame.
+
 Memoized runs produce identical verdict values; the cache is private to one
 run, whose algorithm and column order are fixed, and keyed on (n, projected
 rows): the sorted multiset of the frame's rows projected onto its columns,
@@ -202,11 +221,17 @@ _witness = lru_cache(maxsize=None)(Witness)
 
 
 class _Run:
-    """Mutable per-run context: a1 or a2, statistics, cache, witness, budget."""
+    """Mutable per-run context: a1 or a2, statistics, memo cache or sub-frame
+    table, witness, budget."""
 
-    __slots__ = ("a2", "calls", "max_depth", "cache_hits", "cache", "orders", "deadline", "witness")
+    __slots__ = (
+        "a2", "calls", "max_depth", "cache_hits", "cache", "orders", "deadline", "witness",
+        "table", "recurse",
+    )
 
-    def __init__(self, a2: bool, orders: tuple, memoize: bool, budget_ns: int | None):
+    def __init__(
+        self, a2: bool, orders: tuple, memoize: bool, budget_ns: int | None, table: dict | None
+    ):
         if budget_ns is not None and budget_ns <= 0:
             raise ValueError(f"budget must be positive or None, got {budget_ns} ns")
         self.a2 = a2
@@ -217,6 +242,10 @@ class _Run:
         self.orders = orders
         self.deadline = None if budget_ns is None else time.monotonic_ns() + budget_ns
         self.witness: tuple[str, int | None] | None = None
+        # the sub-frame table of a value-position run, and the frame function
+        # every child call goes through: `_tabled` on that path, else `_certify`
+        self.table = table
+        self.recurse = _certify if table is None else _tabled
 
 
 def _heavy(mask: int, count: int, cols) -> bool:
@@ -260,6 +289,7 @@ def _certify(mask: int, cols: tuple, depth: int, ctx: _Run) -> bool:
             return cached
 
     value, tag, col = True, EXHAUSTED_TRUE, None
+    recurse = ctx.recurse
     for k in ctx.orders[n]:
         m1 = mask & cols[k - 1]
         m0 = mask ^ m1
@@ -279,8 +309,8 @@ def _certify(mask: int, cols: tuple, depth: int, ctx: _Run) -> bool:
             # a2's one-row child returns True at line 1; its zero side never
             # has one row here, since that is the key condition
             leaves = a2 and ones == 1
-            if (m0 and not _certify(m0, child, depth + 1, ctx)) or (
-                m1 and not leaves and not _certify(m1, child, depth + 1, ctx)
+            if (m0 and not recurse(m0, child, depth + 1, ctx)) or (
+                m1 and not leaves and not recurse(m1, child, depth + 1, ctx)
             ):
                 value, tag, col = False, CHILD_FALSE, k
                 break
@@ -296,29 +326,74 @@ def _certify(mask: int, cols: tuple, depth: int, ctx: _Run) -> bool:
     return value
 
 
+def _tabled(mask: int, cols: tuple, depth: int, ctx: _Run) -> bool:
+    """A non-root frame of a value-position run, served from the run's table:
+    a hit adds the subtree's frames and height as if it had run; a miss runs
+    ``_certify`` and stores the entry once the subtree has finished."""
+    key = (mask, cols)
+    entry = ctx.table.get(key)
+    if entry is None:
+        outer, calls = ctx.max_depth, ctx.calls
+        ctx.max_depth = depth
+        value = _certify(mask, cols, depth, ctx)
+        ctx.table[key] = (value, ctx.calls - calls, ctx.max_depth - depth)
+        if outer > ctx.max_depth:
+            ctx.max_depth = outer
+        return value
+    value, calls, height = entry
+    ctx.calls += calls
+    if depth + height > ctx.max_depth:
+        ctx.max_depth = depth + height
+    return value
+
+
+# Roots up to this width with distinct rows recurse on value positions.
+_VALUE_MAX_N = 4
+# O_k per width n: the values 0..2^n - 1 with a one in column k, at index k-1.
+_VALUE_COLS = tuple(
+    tuple(sum(1 << v for v in range(2**n) if v >> k & 1) for k in range(n))
+    for n in range(_VALUE_MAX_N + 1)
+)
+
+
+@lru_cache(maxsize=64)
+def _value_plan(a2: bool, order: ColumnOrder, n: int) -> tuple[tuple, dict]:
+    """The column orders and the sub-frame table shared by every value-position
+    run of one procedure, column order and width."""
+    return _orders(order, n), {}
+
+
 def _run(
     a2: bool, matrix: BinaryMatrix, order: ColumnOrder, memoize: bool, budget_ns: int | None
 ) -> Verdict:
-    ctx = _Run(a2, _orders(order, matrix.n), memoize, budget_ns)
     started = time.perf_counter_ns()
-    mask = (1 << matrix.m) - 1
-    cols = column_patterns(matrix.rows, matrix.n)
+    rows, n = matrix.rows, matrix.n
+    m = len(rows)
+    # the row-set rank, whose popcount is m exactly when the rows are distinct
+    mask = 0
+    if n <= _VALUE_MAX_N and not memoize:
+        for r in rows:
+            mask |= 1 << r
+    if mask.bit_count() == m:
+        orders, table = _value_plan(a2, order, n)
+        cols = _VALUE_COLS[n]
+    else:
+        orders, table = _orders(order, n), None
+        mask = (1 << m) - 1
+        cols = column_patterns(rows, n)
+    ctx = _Run(a2, orders, memoize, budget_ns, table)
     # the root's own base cases (lines 0-7); no frame below the root meets them
-    if a2 and matrix.m == 1 and matrix.n > 1:
+    if a2 and m == 1 and n > 1:
         ctx.calls, value, tag, col = 1, True, M1_BASE, None
-    elif matrix.n == 1:
-        ctx.calls, value, tag, col = 1, _heavy(mask, matrix.m, cols), N1_BASE, 1
+    elif n == 1:
+        ctx.calls, value, tag, col = 1, _heavy(mask, m, cols), N1_BASE, 1
     else:
         value = _certify(mask, cols, 0, ctx)
         tag, col = ctx.witness
     lines = _A2_LINES if a2 else _A1_LINES
-    stats = RecursionStats(
-        calls=ctx.calls,
-        max_depth=ctx.max_depth,
-        cache_hits=ctx.cache_hits,
-        elapsed_ns=time.perf_counter_ns() - started,
-    )
-    return Verdict(value=value, witness=_witness(tag, col, lines[(tag, value)]), stats=stats)
+    # positional: a frozen dataclass takes keywords markedly slower
+    stats = RecursionStats(ctx.calls, ctx.max_depth, ctx.cache_hits, time.perf_counter_ns() - started)
+    return Verdict(value, _witness(tag, col, lines[(tag, value)]), stats)
 
 
 def run_a1(

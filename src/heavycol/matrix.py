@@ -158,15 +158,27 @@ def has_heavy_column(matrix: BinaryMatrix) -> bool:
     return bool(heavy_columns(matrix))
 
 
+# Byte b spread into eight 64-bit lanes: lane j holds bit j of b.
+_LANES = tuple(sum(1 << 64 * j for j in range(8) if b >> j & 1) for b in range(256))
+_LANE = (1 << 64) - 1
+
+
 def heavy_columns(matrix: BinaryMatrix) -> set[int]:
-    """All heavy column indices, by direct per-column counting."""
-    m = matrix.m
+    """All heavy column indices, by direct counting: for each run of eight
+    columns, every row's byte there is spread into 64-bit lanes and one sum
+    of the spread rows holds all eight column counts."""
+    m, n = matrix.m, matrix.n
     rows = matrix.rows
-    return {
-        shift + 1
-        for shift in range(matrix.n)
-        if 2 * sum([r >> shift & 1 for r in rows]) >= m
-    }
+    heavy = set()
+    for base in range(0, n, 8):
+        if base:
+            rows = tuple(map((8).__rrshift__, rows))
+        low = rows if n - base <= 8 else map((255).__and__, rows)
+        lanes = sum(map(_LANES.__getitem__, low))
+        for j in range(min(8, n - base)):
+            if 2 * (lanes >> 64 * j & _LANE) >= m:
+                heavy.add(base + j + 1)
+    return heavy
 
 
 def column_patterns(rows, n: int) -> tuple[int, ...]:

@@ -1,7 +1,8 @@
 """Differential test: the mask recursion against the listings over matrices.
 
-`run_a1`/`run_a2` recurse on a bitmask of root rows over the root's column
-patterns below a validated root.
+`run_a1`/`run_a2` recurse on a bitmask below a validated root: of root rows
+in general, and of row values for a plain run of a distinct-row root with at
+most 4 columns, whose sub-frames the process-wide table serves.
 The reference here transcribes the two listings over `BinaryMatrix` with the
 library's own matrix primitives (`branch_set`, `reduce`, `has_heavy_column`,
 `is_heavy`, `column_weight`), one validated matrix per frame.  Both must agree
@@ -10,6 +11,9 @@ on the verdict, the witness (tag, column, line) and the recursion statistics
 """
 
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from functools import cache
 from itertools import permutations
 
 import pytest
@@ -26,6 +30,7 @@ from heavycol.algorithms import (
     _A1_LINES,
     _A2_LINES,
     _order_for,
+    _value_plan,
     explicit_order,
     run_a1,
     run_a2,
@@ -168,6 +173,75 @@ def test_all_of_small_universes(n):
 
 def test_seeded_slice_of_u4():
     assert _mismatches(_u4_slice(2000, 3), PLAIN_AND_MEMO) == []
+
+
+@cache
+def _u4():
+    return list(enumerate_universe(UniverseSpec(n=4)))
+
+
+@pytest.mark.parametrize("algo", ["a1", "a2"])
+def test_all_of_u4(algo):
+    assert _mismatches(_u4(), [(algo, ASCENDING, False)]) == []
+
+
+def test_fresh_and_warm_tables_agree():
+    # a warm table, filled in reverse rank order, must give what an empty one
+    # gives; a1's frames over U(4) are the benchmark's pinned 404,661
+    def runs(matrices):
+        return [(_fast("a1", m), _fast("a2", m)) for m in matrices]
+
+    _value_plan.cache_clear()
+    fresh = runs(_u4())
+    _value_plan.cache_clear()
+    backwards = runs(reversed(_u4()))
+    assert runs(_u4()) == fresh == backwards[::-1]
+    assert sum(a1[4] for a1, _ in fresh) == 404_661
+    # a non-root frame of a 4-column root has 3 or 2 columns, so it lies in
+    # one of 8 subcubes of 8 values or one of 24 of 4: 2,400 keys at most
+    assert _value_plan.cache_info().currsize == 2
+    for a2 in (False, True):
+        assert 0 < len(_value_plan(a2, ASCENDING, 4)[1]) <= 8 * 255 + 24 * 15
+
+
+def test_tables_never_serve_duplicate_rows_or_memoized_runs():
+    _value_plan.cache_clear()
+    for m in enumerate_universe(UniverseSpec(n=3)):
+        run_a1(m), run_a2(m)
+    tables = {a2: dict(_value_plan(a2, ASCENDING, 3)[1]) for a2 in (False, True)}
+    assert all(tables.values())
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randint(2, 4)
+        rows = [rng.randrange(2**n) for _ in range(rng.randint(1, 8))]
+        duplicated = BinaryMatrix(tuple(rows + rows[:1]), n)
+        for matrix, memoize in ((duplicated, False), (BinaryMatrix(tuple(set(rows)), n), True)):
+            run_a1(matrix, memoize=memoize), run_a2(matrix, memoize=memoize)
+            run_a1(matrix, order=shuffled_order(1), memoize=memoize)
+    assert _value_plan.cache_info().currsize == 2
+    assert {a2: _value_plan(a2, ASCENDING, 3)[1] for a2 in (False, True)} == tables
+
+
+def test_threads_sharing_a_table_agree():
+    # entries are immutable and equal whichever run writes them, so runs
+    # that miss the same key at once may both store it; none sees a wrong one
+    matrices = _u4_slice(1500, 8)
+    _value_plan.cache_clear()
+    expected = [_fast("a2", m) for m in matrices]
+    _value_plan.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [
+                pool.submit(lambda ms: [_fast("a2", m) for m in ms], matrices[i:] + matrices[:i])
+                for i in (0, 400, 800, 1200)
+            ]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for i, got in zip((0, 400, 800, 1200), results):
+        assert got == expected[i:] + expected[:i]
 
 
 def test_full_cube_up_to_6():

@@ -5,7 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from heavycol import (
     BinaryMatrix,
+    UniverseSpec,
     column_weight,
+    enumerate_universe,
     heavy_columns,
     is_heavy,
     matrix_properties,
@@ -181,3 +183,29 @@ def test_parse_matrix_fuzz_raises_only_matrix_errors(text):
         return
     assert isinstance(m, BinaryMatrix)
     assert parse_matrix(matrix_to_text(m)) == m
+
+
+def _heavy_by_weight(m):
+    return {k for k in range(1, m.n + 1) if 2 * column_weight(m, k) >= m.m}
+
+
+def test_heavy_columns_counts_as_column_weight_on_u4():
+    # the lane sum against per-column counting on every matrix of U(n <= 4)
+    universe = [m for n in range(1, 5) for m in enumerate_universe(UniverseSpec(n=n))]
+    assert len(universe) == 3 + 15 + 255 + 65535
+    assert [m for m in universe if heavy_columns(m) != _heavy_by_weight(m)] == []
+
+
+def test_heavy_columns_counts_as_column_weight_when_wide_and_tall():
+    # every lane of every byte, up to 63 columns and 300 rows; column
+    # densities near one half give both verdicts and exact ties
+    rng = random.Random(41)
+    shapes = [(n, 300) for n in (7, 8, 9, 16, 17, 63)]
+    shapes += [(rng.randint(1, 63), rng.randint(1, 300)) for _ in range(150)]
+    for n, m in shapes:
+        density = [rng.choice((0.0, 0.3, 0.5, 0.5, 0.7, 1.0)) for _ in range(n)]
+        rows = tuple(
+            sum(1 << k for k in range(n) if rng.random() < density[k]) for _ in range(m)
+        )
+        matrix = BinaryMatrix(rows, n)
+        assert heavy_columns(matrix) == _heavy_by_weight(matrix), (n, m)

@@ -72,11 +72,11 @@ MUTANTS = [
     Mutant(
         # one frame function serves a1 and a2, so both visit 1 before 0
         "children-1-before-0", "algorithms.py",
-        "if (m0 and not _certify(m0, child, depth + 1, ctx)) or (\n"
-        "                m1 and not leaves and not _certify(m1, child, depth + 1, ctx)\n"
+        "if (m0 and not recurse(m0, child, depth + 1, ctx)) or (\n"
+        "                m1 and not leaves and not recurse(m1, child, depth + 1, ctx)\n"
         "            ):",
-        "if (m1 and not leaves and not _certify(m1, child, depth + 1, ctx)) or (\n"
-        "                m0 and not _certify(m0, child, depth + 1, ctx)\n"
+        "if (m1 and not leaves and not recurse(m1, child, depth + 1, ctx)) or (\n"
+        "                m0 and not recurse(m0, child, depth + 1, ctx)\n"
         "            ):",
         (f"{FAST}::test_all_of_small_universes[3]", f"{FAST}::test_a1_every_explicit_order[3]"),
     ),
@@ -89,6 +89,17 @@ MUTANTS = [
         "leaf-depth-not-raised", "algorithms.py",
         "ctx.max_depth = depth + 1", "ctx.max_depth = depth",
         (f"{FAST}::test_all_of_small_universes[2]", f"{FAST}::test_full_cube_up_to_6"),
+    ),
+    Mutant(
+        # frames with the same value set but other columns share an entry
+        "table-key-drops-cols", "algorithms.py",
+        "key = (mask, cols)", "key = mask",
+        (f"{FAST}::test_all_of_small_universes[3]", f"{FAST}::test_fresh_and_warm_tables_agree"),
+    ),
+    Mutant(
+        "table-hit-skips-height", "algorithms.py",
+        "    if depth + height > ctx.max_depth:\n        ctx.max_depth = depth + height\n", "",
+        (f"{FAST}::test_all_of_small_universes[3]", f"{FAST}::test_a1_every_explicit_order[3]"),
     ),
     Mutant(
         # column 1's all-zero test dropped from the rank filter
