@@ -79,7 +79,8 @@ Value positions.  A plain run (no ``memoize``) of a root with distinct rows
 and n <= 4 columns recurses on row values instead: ``mask`` is the row-set
 rank, bit v set for each row value v (the rows are distinct exactly when its
 popcount is m), and ``cols`` is the constant tuple of ``O_k``, the values in
-0..2^n - 1 with a one in column k.  Every popcount is the one the row
+0..2^n - 1 with a one in column k, from ``matrix.VALUE_COLUMNS``, the table
+the scans' constraint filter reads too.  Every popcount is the one the row
 positions give, so verdicts, witnesses, ``calls`` and ``max_depth`` are
 unchanged by construction.  A non-root frame ``(mask, cols)`` is then the
 same whichever root of that width it sits under, and it keys one table per
@@ -109,7 +110,7 @@ from functools import lru_cache
 from itertools import compress
 from typing import Union
 
-from .matrix import BinaryMatrix, column_patterns
+from .matrix import VALUE_COLUMNS, BinaryMatrix, column_patterns
 
 # The recursion calls none of these.  They stay importable under this module
 # because the benchmark's traced pass (perfbench/layers.py) wraps them here.
@@ -230,17 +231,15 @@ class _Run:
     )
 
     def __init__(
-        self, a2: bool, orders: tuple, memoize: bool, budget_ns: int | None, table: dict | None
+        self, a2: bool, orders: tuple, memoize: bool, deadline: int | None, table: dict | None
     ):
-        if budget_ns is not None and budget_ns <= 0:
-            raise ValueError(f"budget must be positive or None, got {budget_ns} ns")
         self.a2 = a2
         self.calls = 0
         self.max_depth = 0
         self.cache_hits = 0
         self.cache: dict | None = {} if memoize else None
         self.orders = orders
-        self.deadline = None if budget_ns is None else time.monotonic_ns() + budget_ns
+        self.deadline = deadline
         self.witness: tuple[str, int | None] | None = None
         # the sub-frame table of a value-position run, and the frame function
         # every child call goes through: `_tabled` on that path, else `_certify`
@@ -274,7 +273,7 @@ def _certify(mask: int, cols: tuple, depth: int, ctx: _Run) -> bool:
     ctx.calls += 1
     if depth > ctx.max_depth:
         ctx.max_depth = depth
-    if ctx.deadline is not None and time.monotonic_ns() >= ctx.deadline:
+    if ctx.deadline is not None and time.perf_counter_ns() >= ctx.deadline:
         raise BudgetExceeded("run exceeded its wall-clock budget")
     a2 = ctx.a2
     count = mask.bit_count()
@@ -349,11 +348,6 @@ def _tabled(mask: int, cols: tuple, depth: int, ctx: _Run) -> bool:
 
 # Roots up to this width with distinct rows recurse on value positions.
 _VALUE_MAX_N = 4
-# O_k per width n: the values 0..2^n - 1 with a one in column k, at index k-1.
-_VALUE_COLS = tuple(
-    tuple(sum(1 << v for v in range(2**n) if v >> k & 1) for k in range(n))
-    for n in range(_VALUE_MAX_N + 1)
-)
 
 
 @lru_cache(maxsize=64)
@@ -367,6 +361,8 @@ def _run(
     a2: bool, matrix: BinaryMatrix, order: ColumnOrder, memoize: bool, budget_ns: int | None
 ) -> Verdict:
     started = time.perf_counter_ns()
+    if budget_ns is not None and budget_ns <= 0:
+        raise ValueError(f"budget must be positive or None, got {budget_ns} ns")
     rows, n = matrix.rows, matrix.n
     m = len(rows)
     # the row-set rank, whose popcount is m exactly when the rows are distinct
@@ -376,12 +372,14 @@ def _run(
             mask |= 1 << r
     if mask.bit_count() == m:
         orders, table = _value_plan(a2, order, n)
-        cols = _VALUE_COLS[n]
+        cols = VALUE_COLUMNS[n]
     else:
         orders, table = _orders(order, n), None
         mask = (1 << m) - 1
         cols = column_patterns(rows, n)
-    ctx = _Run(a2, orders, memoize, budget_ns, table)
+    # the budget counts from `started`, so the root build spends it too
+    deadline = None if budget_ns is None else started + budget_ns
+    ctx = _Run(a2, orders, memoize, deadline, table)
     # the root's own base cases (lines 0-7); no frame below the root meets them
     if a2 and m == 1 and n > 1:
         ctx.calls, value, tag, col = 1, True, M1_BASE, None

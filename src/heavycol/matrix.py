@@ -181,6 +181,14 @@ def heavy_columns(matrix: BinaryMatrix) -> set[int]:
     return heavy
 
 
+# O_k per width n up to 6, the widest scan universe, at index k-1: the values
+# in 0..2^n - 1 with a one in column k, as an int with bit v set for each.
+VALUE_COLUMNS = tuple(
+    tuple(sum(1 << v for v in range(2**n) if v >> k & 1) for k in range(n))
+    for n in range(7)
+)
+
+
 def column_patterns(rows, n: int) -> tuple[int, ...]:
     """Each column's pattern, column k at index k-1: bit i set when rows[i]
     has a one in column k.  One pass over the rows, visiting only set bits."""

@@ -12,8 +12,9 @@ certificate guarantees at desk scale:
   * claim  - every no-heavy matrix must yield an unpaired (row, column) pair
     whose sequential reduction terminates in an all-zero column, under the
     ascending order and one seeded shuffled order;
-  * remark - the fixed 1x2 all-zero matrix shows a2's preconditions are
-    essential (True verdict, no heavy column);
+  * remark - the 1x2 all-zero matrix, the one member of a fixed-mode
+    universe, shows a2's preconditions are essential (True verdict, no
+    heavy column);
   * converse / order-sensitivity - exploratory tallies for the open
     questions; only a1's processing-order invariance is asserted.
 
@@ -37,11 +38,12 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import accumulate, permutations
-from typing import Iterable, Iterator
+from itertools import accumulate, combinations, permutations
+from typing import Iterator
 
 from .algorithms import KEY_CONDITION, explicit_order, run_a1, run_a2
 from .matrix import (
+    VALUE_COLUMNS,
     BinaryMatrix,
     heavy_columns,
     matrix_properties,
@@ -52,7 +54,8 @@ from .structure import find_unpaired, sequential_reduction
 
 EXHAUSTIVE_MAX_N = 4
 DEFAULT_WITNESS_CAP = 20
-DEFAULT_SHUFFLE_SEED = 20240801
+# Seeds the claim's shuffled reduction order and the order-sensitivity sample.
+SHUFFLE_SEED = 20240801
 DEFAULT_PERM_BUDGET = 24
 # Upper bound on scan worker processes, fixed so a flag can never ask the
 # pool for an unbounded number of them.
@@ -71,7 +74,8 @@ class UniverseSpec:
     count in [m_min, m_max] that passes the constraint flags.  Random mode
     draws `samples` independent uniform members of the same family,
     rejecting constraint failures; each draw is derived from (seed, index)
-    so any worker partition reproduces the same stream.
+    so any worker partition reproduces the same stream.  Fixed mode walks
+    rank 1 alone, the single all-zero row of width n.
     """
 
     n: int
@@ -134,18 +138,15 @@ def _constraint_masks(spec: UniverseSpec) -> tuple[int, ...]:
 
     A matrix of `spec.n` columns is a row set: its rank has bit v set for row
     encoding v.  Column k is all-zero exactly when the rank misses O_k, the
-    rows with a one in column k; columns j and k are equal exactly when it
-    misses D_jk, the rows that differ there.
+    rows with a one in column k (`VALUE_COLUMNS`); columns j and k are equal
+    exactly when it misses O_j ^ O_k, the rows that differ there.
     """
-    rows = range(2**spec.n)
+    cols = VALUE_COLUMNS[spec.n]
     masks = []
     if spec.forbid_all_zero_column:
-        masks += [sum(1 << v for v in rows if v >> k & 1) for k in range(spec.n)]
+        masks += cols
     if spec.require_distinct_columns:
-        masks += [
-            sum(1 << v for v in rows if (v >> j ^ v >> k) & 1)
-            for j in range(spec.n) for k in range(j + 1, spec.n)
-        ]
+        masks += [a ^ b for a, b in combinations(cols, 2)]
     return tuple(masks)
 
 
@@ -200,21 +201,20 @@ def _draw_random(spec: UniverseSpec, index: int) -> BinaryMatrix:
 
 
 def _iter_range(spec: UniverseSpec, lo: int, hi: int) -> Iterator[BinaryMatrix]:
-    if spec.mode == "exhaustive":
+    if spec.mode == "random":
+        for index in range(lo, hi):
+            yield _draw_random(spec, index)
+    else:
         bottom, top = spec.m_min, spec.m_max
         masks = _constraint_masks(spec)
         for rank in range(lo, hi):
             if bottom <= rank.bit_count() <= top and _passes_constraints(masks, rank):
                 yield _matrix_from_rank(rank, spec.n)
-    else:
-        for index in range(lo, hi):
-            yield _draw_random(spec, index)
 
 
 def enumerate_universe(spec: UniverseSpec) -> Iterator[BinaryMatrix]:
     """Stream the whole universe in canonical order."""
-    lo, hi = _full_range(spec)
-    return _iter_range(spec, lo, hi)
+    return _iter_range(spec, *_full_range(spec))
 
 
 def _full_range(spec: UniverseSpec) -> tuple[int, int]:
@@ -222,7 +222,7 @@ def _full_range(spec: UniverseSpec) -> tuple[int, int]:
         return 1, 2 ** (2**spec.n)
     if spec.mode == "random":
         return 0, spec.samples
-    raise ValueError("fixed-mode reports are not enumerable")
+    return 1, 2  # fixed: rank 1 alone
 
 
 # --- per-matrix inspectors (contract in the module docstring) -------------
@@ -257,14 +257,14 @@ def _inspect_lemma1(matrix: BinaryMatrix):
     return names, cases
 
 
-def _shuffled_reduction_order(matrix: BinaryMatrix, l: int, seed: int) -> tuple[int, ...]:
-    rng = random.Random(f"{seed}:{matrix.n}:{','.join(map(str, matrix.rows))}")
+def _shuffled_reduction_order(matrix: BinaryMatrix, l: int) -> tuple[int, ...]:
+    rng = random.Random(f"{SHUFFLE_SEED}:{matrix.n}:{','.join(map(str, matrix.rows))}")
     order = [k for k in range(1, matrix.n + 1) if k != l]
     rng.shuffle(order)
     return tuple(order)
 
 
-def _inspect_claim(shuffle_seed: int, matrix: BinaryMatrix):
+def _inspect_claim(matrix: BinaryMatrix):
     if heavy_columns(matrix):
         return ["has_heavy"], []
     names = ["no_heavy"]
@@ -276,7 +276,7 @@ def _inspect_claim(shuffle_seed: int, matrix: BinaryMatrix):
         return names, cases
     names.append("unpaired_found")
     i, l = pair
-    orders = [None, _shuffled_reduction_order(matrix, l, shuffle_seed)]
+    orders = [None, _shuffled_reduction_order(matrix, l)]
     bad = False
     for order in orders:
         trace = sequential_reduction(matrix, i, l, order=order)
@@ -319,16 +319,16 @@ def _inspect_converse(matrix: BinaryMatrix):
     return names, cases
 
 
-def _perm_sample(matrix: BinaryMatrix, budget: int, seed: int) -> list[tuple[int, ...]]:
+def _perm_sample(matrix: BinaryMatrix, budget: int) -> list[tuple[int, ...]]:
     all_perms = list(permutations(range(1, matrix.n + 1)))
     if matrix.n <= 4 or len(all_perms) <= budget:
         return all_perms
-    rng = random.Random(f"{seed}:{','.join(map(str, matrix.rows))}")
+    rng = random.Random(f"{SHUFFLE_SEED}:{','.join(map(str, matrix.rows))}")
     return rng.sample(all_perms, budget)
 
 
-def _inspect_order_sensitivity(perm_budget: int, perm_seed: int, matrix: BinaryMatrix):
-    perms = _perm_sample(matrix, perm_budget, perm_seed)
+def _inspect_order_sensitivity(perm_budget: int, matrix: BinaryMatrix):
+    perms = _perm_sample(matrix, perm_budget)
     names = []
     cases = []
     base_a1 = run_a1(matrix).value
@@ -344,23 +344,18 @@ def _inspect_order_sensitivity(perm_budget: int, perm_seed: int, matrix: BinaryM
     return names, cases
 
 
-def _tally(matrices: Iterable[BinaryMatrix], inspect, cap: int) -> tuple[int, dict, list]:
+def _scan_chunk(task: tuple) -> tuple[int, dict, list]:
+    """Inspect one range: (matrices tested, tallies, its first `cap` witnesses)."""
+    spec, inspect, lo, hi, cap = task
     tested = 0
     tallies: Counter = Counter()
     witnesses: list[ScanWitness] = []
-    for matrix in matrices:
+    for matrix in _iter_range(spec, lo, hi):
         tested += 1
         names, cases = inspect(matrix)
         tallies.update(names)
-        for case in cases:
-            if len(witnesses) < cap:
-                witnesses.append(case)
+        witnesses += cases[: cap - len(witnesses)]
     return tested, dict(tallies), witnesses
-
-
-def _scan_chunk(task: tuple) -> tuple[int, dict, list]:
-    spec, inspect, lo, hi, cap = task
-    return _tally(_iter_range(spec, lo, hi), inspect, cap)
 
 
 def _chunk_ranges(lo: int, hi: int, pieces: int) -> list[tuple[int, int]]:
@@ -370,22 +365,12 @@ def _chunk_ranges(lo: int, hi: int, pieces: int) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
-def _check_scan_flags(workers: int, witness_cap: int) -> None:
-    if not 1 <= workers <= MAX_WORKERS:
-        raise ValueError(f"workers must be in 1..{MAX_WORKERS}, got {workers}")
-    if witness_cap < 0:
-        raise ValueError(f"witness cap must be at least 0, got {witness_cap}")
-
-
 def _report(spec: UniverseSpec, partials, keys: tuple[str, ...], witness_cap: int) -> ScanReport:
     """Merge (tested, tallies, witnesses) partials in order into one report."""
-    tallies: Counter = Counter()
-    for _, part_tallies, _ in partials:
-        tallies.update(part_tallies)
     tested = sum(part[0] for part in partials)
+    tallies = {key: sum(part[1].get(key, 0) for part in partials) for key in keys}
     witnesses = tuple(case for _, _, cases in partials for case in cases)[:witness_cap]
-    final = {key: tallies[key] for key in keys}
-    return ScanReport(spec=spec, tested=tested, tallies=final, violations=witnesses)
+    return ScanReport(spec=spec, tested=tested, tallies=tallies, violations=witnesses)
 
 
 def ProcessPoolExecutor(max_workers: int):
@@ -399,12 +384,15 @@ def ProcessPoolExecutor(max_workers: int):
 def _run_scan(
     spec: UniverseSpec, inspect, keys: tuple[str, ...], workers: int, witness_cap: int
 ) -> ScanReport:
-    """Inspect every matrix of `spec` and tally the report's `keys`."""
-    _check_scan_flags(workers, witness_cap)
-    lo, hi = _full_range(spec)
-    chunks = _chunk_ranges(lo, hi, workers * 4)
-    tasks = [(spec, inspect, clo, chi, witness_cap) for clo, chi in chunks]
-    if workers == 1:
+    """Inspect every matrix of `spec` and tally the report's `keys`; a range
+    of one chunk runs in this process, whatever `workers` says."""
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ValueError(f"workers must be in 1..{MAX_WORKERS}, got {workers}")
+    if witness_cap < 0:
+        raise ValueError(f"witness cap must be at least 0, got {witness_cap}")
+    chunks = _chunk_ranges(*_full_range(spec), workers * 4)
+    tasks = [(spec, inspect, lo, hi, witness_cap) for lo, hi in chunks]
+    if workers == 1 or len(tasks) == 1:
         partials = [_scan_chunk(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -452,15 +440,11 @@ def check_lemma1(
 
 
 def check_reduction_claim(
-    spec: UniverseSpec,
-    *,
-    shuffle_seed: int = DEFAULT_SHUFFLE_SEED,
-    workers: int = 1,
-    witness_cap: int = DEFAULT_WITNESS_CAP,
+    spec: UniverseSpec, *, workers: int = 1, witness_cap: int = DEFAULT_WITNESS_CAP
 ) -> ScanReport:
     """Check the all-zero-terminal path on every no-heavy matrix."""
     keys = ("has_heavy", "no_heavy", "unpaired_found", "violations")
-    return _run_scan(spec, partial(_inspect_claim, shuffle_seed), keys, workers, witness_cap)
+    return _run_scan(spec, _inspect_claim, keys, workers, witness_cap)
 
 
 def remark_counterexamples(
@@ -472,10 +456,8 @@ def remark_counterexamples(
     heavy; both dropped preconditions must be flagged.  A confirmed case is
     expected, not a violation.  `workers` is only checked: one matrix needs no pool.
     """
-    _check_scan_flags(workers, witness_cap)
     spec = UniverseSpec(n=2, m_min=1, m_max=1, mode="fixed")
-    part = _tally([BinaryMatrix((0,), 2)], _inspect_remark, witness_cap)
-    return _report(spec, [part], ("confirmed", "violations"), witness_cap)
+    return _run_scan(spec, _inspect_remark, ("confirmed", "violations"), workers, witness_cap)
 
 
 def converse_scan(
@@ -493,7 +475,6 @@ def order_sensitivity_scan(
     spec: UniverseSpec,
     *,
     perm_budget: int = DEFAULT_PERM_BUDGET,
-    perm_seed: int = DEFAULT_SHUFFLE_SEED,
     workers: int = 1,
     witness_cap: int = DEFAULT_WITNESS_CAP,
 ) -> ScanReport:
@@ -509,5 +490,5 @@ def order_sensitivity_scan(
         "a1_order_mismatch", "a2_permutation_sensitive",
         "a2_permutation_stable", "violations",
     )
-    inspect = partial(_inspect_order_sensitivity, perm_budget, perm_seed)
+    inspect = partial(_inspect_order_sensitivity, perm_budget)
     return _run_scan(spec, inspect, keys, workers, witness_cap)

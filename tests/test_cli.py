@@ -254,6 +254,7 @@ def test_commands_without_a_pool_or_store_load_neither(tmp_path):
     matrix.write_text(GOLDEN_MATRIX)
     commands = [
         ["verify", "theorem1", "--n", "2", "--json"],
+        ["verify", "remark", "--workers", "2", "--json"],
         ["check", "--algo", "a2", str(matrix)],
         ["oracle", str(matrix)],
     ]
@@ -271,7 +272,7 @@ def test_commands_without_a_pool_or_store_load_neither(tmp_path):
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert (run.returncode, run.stderr) == (0, "")
-    assert run.stdout == "[0, 0, 0] []\n"
+    assert run.stdout == "[0, 0, 0, 0] []\n"
 
 
 def test_perm_budget_below_one_is_usage_error(monkeypatch, capsys):

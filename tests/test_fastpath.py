@@ -107,11 +107,13 @@ def _ref_a2(matrix, depth, ctx):
 
     value, tag, col = True, EXHAUSTED_TRUE, None
     for k in range(1, matrix.n + 1):
-        sub0 = reduce(matrix, k, 0)
-        sub1 = reduce(matrix, k, 1)
+        # lines 11-12 are tested first: they change nothing on a frame that
+        # returns at line 14
         if matrix.m - column_weight(matrix, k) == 1:
             value, tag, col = True, KEY_CONDITION, k
             break
+        sub0 = reduce(matrix, k, 0)
+        sub1 = reduce(matrix, k, 1)
         branches = [sub for sub in (sub0, sub1) if sub is not None]
         if any(not has_heavy_column(sub) for sub in branches):
             value, tag, col = False, NOHEAVY_CHILD, k

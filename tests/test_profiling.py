@@ -2,9 +2,11 @@ import dataclasses
 
 import pytest
 
-from heavycol import GrowthTable, profile_family, snapshot_compare
+from heavycol import GrowthTable, profile_family, run_a1, snapshot_compare
+from heavycol.algorithms import BudgetExceeded
 from heavycol.profiling import (
     MissingBaseline,
+    _family_matrix,
     baseline_path,
     harvest_worst,
     load_baseline,
@@ -83,6 +85,17 @@ def test_timeout_marks_row_and_keeps_table():
     assert len(table.rows) == 2  # memoized row still present
     assert ",a1,plain,,,," in table.to_csv()
     assert GrowthTable.from_csv(table.to_csv()) == table
+
+
+def test_budget_counts_the_root_build():
+    # the deadline used to start once the root's column patterns were built:
+    # building them for these 32,768 rows alone outlasts 1 ms, and the 13
+    # frames after it finished inside the budget, so the run returned normally
+    matrix = _family_matrix(("random_half", 1), 16, "a1", None)
+    with pytest.raises(BudgetExceeded):
+        run_a1(matrix, budget_ns=1_000_000)
+    table = profile_family(("random_half", 1), [16], algos=("a1",), budget_ns=1_000_000)
+    assert table.key_map()[("random_half:1", 16, "a1", "plain")].timed_out
 
 
 def test_csv_roundtrip(cube_table):

@@ -144,7 +144,7 @@ def test_reports_deterministic_across_workers():
         lambda w: check_lemma1(
             UniverseSpec(n=4, mode="random", samples=80, seed=5), workers=w
         ),
-        # its bound perm_budget/perm_seed must reach the pool's workers
+        # its bound perm_budget must reach the pool's workers
         lambda w: order_sensitivity_scan(
             UniverseSpec(n=5, mode="random", samples=12, seed=3), perm_budget=4, workers=w
         ),
@@ -182,6 +182,10 @@ def test_workers_bounded(monkeypatch):
     assert _SerialPool.sizes == []
     serial = to_json(check_theorem1(UniverseSpec(n=2)))
     assert to_json(check_theorem1(UniverseSpec(n=2), workers=MAX_WORKERS)) == serial
+    assert _SerialPool.sizes == [MAX_WORKERS]
+    # the remark's one matrix is one chunk, which needs no pool
+    serial = to_json(remark_counterexamples())
+    assert to_json(remark_counterexamples(workers=MAX_WORKERS)) == serial
     assert _SerialPool.sizes == [MAX_WORKERS]
 
 

@@ -40,6 +40,7 @@ class Mutant:
 ALGOS = "tests/test_algorithms.py"
 CLI = "tests/test_cli.py"
 FAST = "tests/test_fastpath.py"
+PROF = "tests/test_profiling.py"
 VERIFY = "tests/test_verification.py"
 
 MUTANTS = [
@@ -91,6 +92,13 @@ MUTANTS = [
         (f"{FAST}::test_all_of_small_universes[2]", f"{FAST}::test_full_cube_up_to_6"),
     ),
     Mutant(
+        # the budget starts once the root is built, so that build runs free
+        "budget-clock-after-root-build", "algorithms.py",
+        "deadline = None if budget_ns is None else started + budget_ns",
+        "deadline = None if budget_ns is None else time.perf_counter_ns() + budget_ns",
+        (f"{PROF}::test_budget_counts_the_root_build",),
+    ),
+    Mutant(
         # frames with the same value set but other columns share an entry
         "table-key-drops-cols", "algorithms.py",
         "key = (mask, cols)", "key = mask",
@@ -104,9 +112,15 @@ MUTANTS = [
     Mutant(
         # column 1's all-zero test dropped from the rank filter
         "rank-filter-skips-zero-column", "verification.py",
-        "if v >> k & 1) for k in range(spec.n)]", "if v >> k & 1) for k in range(1, spec.n)]",
+        "masks += cols\n", "masks += cols[1:]\n",
         (f"{VERIFY}::test_rank_filter_matches_matrix_properties[False-True]",
          f"{VERIFY}::test_rank_filter_matches_matrix_properties[True-True]"),
+    ),
+    Mutant(
+        # two equal columns that hold a one somewhere pass as distinct
+        "distinct-mask-or", "verification.py",
+        "[a ^ b for a, b in combinations(cols, 2)]", "[a | b for a, b in combinations(cols, 2)]",
+        (f"{VERIFY}::test_rank_filter_matches_matrix_properties[True-False]",),
     ),
     Mutant(
         "bisect-left-size-draw", "verification.py",
