@@ -76,24 +76,29 @@ and ``max_depth``, ``cache_hits``, verdicts and witnesses are those of the
 listings' recursion.
 
 Value positions.  A plain run (no ``memoize``) of a root with distinct rows
-and n <= 4 columns recurses on row values instead: ``mask`` is the row-set
+and n <= 7 columns recurses on row values instead: ``mask`` is the row-set
 rank, bit v set for each row value v (the rows are distinct exactly when its
 popcount is m), and ``cols`` is the constant tuple of ``O_k``, the values in
 0..2^n - 1 with a one in column k, from ``matrix.VALUE_COLUMNS``, the table
 the scans' constraint filter reads too.  Every popcount is the one the row
 positions give, so verdicts, witnesses, ``calls`` and ``max_depth`` are
 unchanged by construction.  A non-root frame ``(mask, cols)`` is then the
-same whichever root of that width it sits under, and it keys one table per
-process for each (procedure, column order, n).  An entry is
-``(value, calls, height)``: the verdict, the frames of the subtree and its
-depth below the frame.  A hit adds ``calls`` and raises ``max_depth`` to
-depth + height; a miss runs the frame and stores its entry only once the
-subtree has finished, so a ``BudgetExceeded`` leaves no partial entry.
-Roots are never stored, so a table's keys lie in the 2- and 3-column
-subcubes of its root: at n = 4, 8 subcubes of 8 values and 24 of 4, at most
-8 * 255 + 24 * 15 = 2,400 entries.  Memoized runs (whose ``cache_hits`` must
-not move), duplicate-row roots and roots wider than 4 columns never use a
-table and keep the row-position recursion, at no extra cost per frame.
+same whichever root of that width it sits under, and a frame of at most 3
+columns keys one table per process for each (procedure, column order, n).  An
+entry is ``(value, calls, height)``: the verdict, the frames of the subtree
+and its depth below the frame.  A hit adds ``calls`` and raises ``max_depth``
+to depth + height; a miss runs the frame and stores its entry only once the
+subtree has finished, so a ``BudgetExceeded`` leaves no partial entry.  Wider
+frames below the root run ``_certify`` each time (tabling them too was
+measured no faster, and its table grows with the scan); which of the two a
+child goes through is fixed per width in the run's plan, so no frame tests
+its width.  A table's keys lie in the 3- and 2-column subcubes of its root,
+C(n,3) * 2^(n-3) subcubes of 8 values and C(n,2) * 2^(n-2) of 4, so it holds
+at most C(n,3) * 2^(n-3) * 255 + C(n,2) * 2^(n-2) * 15 entries: 2,400 at
+n = 4, 11,400 at n = 5, 44,400 at n = 6 and 152,880 at n = 7.  Memoized runs
+(whose ``cache_hits`` must not move), duplicate-row roots and roots wider
+than 7 columns never use a table and keep the row-position recursion, every
+child through ``_certify``.
 
 Memoized runs produce identical verdict values; the cache is private to one
 run, whose algorithm and column order are fixed, and keyed on (n, projected
@@ -110,7 +115,7 @@ from functools import lru_cache
 from itertools import compress
 from typing import Union
 
-from .matrix import VALUE_COLUMNS, BinaryMatrix, column_patterns
+from .matrix import MAX_COLUMNS, VALUE_COLUMNS, BinaryMatrix, column_patterns
 
 # The recursion calls none of these.  They stay importable under this module
 # because the benchmark's traced pass (perfbench/layers.py) wraps them here.
@@ -231,7 +236,8 @@ class _Run:
     )
 
     def __init__(
-        self, a2: bool, orders: tuple, memoize: bool, deadline: int | None, table: dict | None
+        self, a2: bool, orders: tuple, memoize: bool, deadline: int | None,
+        table: dict | None, recurse: tuple,
     ):
         self.a2 = a2
         self.calls = 0
@@ -241,10 +247,10 @@ class _Run:
         self.orders = orders
         self.deadline = deadline
         self.witness: tuple[str, int | None] | None = None
-        # the sub-frame table of a value-position run, and the frame function
-        # every child call goes through: `_tabled` on that path, else `_certify`
+        # the sub-frame table of a value-position run, and at index n the frame
+        # function that the children of an n-column frame go through
         self.table = table
-        self.recurse = _certify if table is None else _tabled
+        self.recurse = recurse
 
 
 def _heavy(mask: int, count: int, cols) -> bool:
@@ -288,7 +294,7 @@ def _certify(mask: int, cols: tuple, depth: int, ctx: _Run) -> bool:
             return cached
 
     value, tag, col = True, EXHAUSTED_TRUE, None
-    recurse = ctx.recurse
+    recurse = ctx.recurse[n]
     for k in ctx.orders[n]:
         m1 = mask & cols[k - 1]
         m0 = mask ^ m1
@@ -346,15 +352,22 @@ def _tabled(mask: int, cols: tuple, depth: int, ctx: _Run) -> bool:
     return value
 
 
-# Roots up to this width with distinct rows recurse on value positions.
-_VALUE_MAX_N = 4
+# Roots up to this width with distinct rows recurse on value positions; below
+# such a root, frames of up to _TABLE_MAX_N columns are served from the table.
+_VALUE_MAX_N = 7
+_TABLE_MAX_N = 3
+
+# A row-position run's children all go through `_certify`, whatever the width.
+_CERTIFY_ALL = (_certify,) * (MAX_COLUMNS + 1)
 
 
 @lru_cache(maxsize=64)
-def _value_plan(a2: bool, order: ColumnOrder, n: int) -> tuple[tuple, dict]:
-    """The column orders and the sub-frame table shared by every value-position
-    run of one procedure, column order and width."""
-    return _orders(order, n), {}
+def _value_plan(a2: bool, order: ColumnOrder, n: int) -> tuple[tuple, dict, tuple]:
+    """The column orders, the sub-frame table and the frame function for the
+    children of each width, shared by every value-position run of one
+    procedure, column order and width."""
+    recurse = tuple(_tabled if w - 1 <= _TABLE_MAX_N else _certify for w in range(n + 1))
+    return _orders(order, n), {}, recurse
 
 
 def _run(
@@ -371,15 +384,18 @@ def _run(
         for r in rows:
             mask |= 1 << r
     if mask.bit_count() == m:
-        orders, table = _value_plan(a2, order, n)
+        orders, table, recurse = _value_plan(a2, order, n)
         cols = VALUE_COLUMNS[n]
     else:
-        orders, table = _orders(order, n), None
+        orders, table, recurse = _orders(order, n), None, _CERTIFY_ALL
         mask = (1 << m) - 1
         cols = column_patterns(rows, n)
-    # the budget counts from `started`, so the root build spends it too
+    # the budget counts from `started`, so the root build spends it too, and
+    # it is checked here once, since a root that ends at a base case runs no frame
     deadline = None if budget_ns is None else started + budget_ns
-    ctx = _Run(a2, orders, memoize, deadline, table)
+    if deadline is not None and time.perf_counter_ns() >= deadline:
+        raise BudgetExceeded("run exceeded its wall-clock budget")
+    ctx = _Run(a2, orders, memoize, deadline, table, recurse)
     # the root's own base cases (lines 0-7); no frame below the root meets them
     if a2 and m == 1 and n > 1:
         ctx.calls, value, tag, col = 1, True, M1_BASE, None

@@ -181,11 +181,12 @@ def heavy_columns(matrix: BinaryMatrix) -> set[int]:
     return heavy
 
 
-# O_k per width n up to 6, the widest scan universe, at index k-1: the values
-# in 0..2^n - 1 with a one in column k, as an int with bit v set for each.
+# O_k per width n up to 7, at index k-1: the values in 0..2^n - 1 with a one
+# in column k, as an int with bit v set for each.  The scans' constraint filter
+# reads widths up to 6 and the value-position recursion widths up to 7.
 VALUE_COLUMNS = tuple(
     tuple(sum(1 << v for v in range(2**n) if v >> k & 1) for k in range(n))
-    for n in range(7)
+    for n in range(8)
 )
 
 

@@ -20,10 +20,12 @@ certificate guarantees at desk scale:
 
 Every scan runs through `_run_scan` and every report comes from one merge,
 `_report`.  An inspector is module-level, takes the matrix last and returns
-(tally names to bump, witness cases); a scan binds its other parameters with
-`functools.partial`, so the process pool can pickle it.  Inspectors read the
-names they scan with (`run_a1`, `heavy_columns`, `BinaryMatrix`, ...) from
-this module's globals on every call: the benchmark's traced pass wraps them.
+(tally names to bump, witness cases), each case a (matrix, property) pair;
+`_scan_chunk` renders a case as text only if it keeps it under the witness
+cap.  A scan binds an inspector's other parameters with `functools.partial`,
+so the process pool can pickle it.  Inspectors read the names they scan with
+(`run_a1`, `heavy_columns`, `BinaryMatrix`, ...) from this module's globals
+on every call: the benchmark's traced pass wraps them.
 
 Reports are deterministic byte-for-byte for a fixed spec, whatever the
 worker count: work is split into contiguous rank ranges, partial results are
@@ -242,7 +244,7 @@ def _inspect_guarantee(algo: str, matrix: BinaryMatrix):
         names.append(f"no_heavy_and_{algo}_false")
     if value and not heavy:
         names.append("violations")
-        cases.append(ScanWitness(matrix_to_text(matrix), f"{algo}_true_without_heavy"))
+        cases.append((matrix, f"{algo}_true_without_heavy"))
     return names, cases
 
 
@@ -253,7 +255,7 @@ def _inspect_lemma1(matrix: BinaryMatrix):
     if hypothesis and len(heavy_columns(matrix)) < matrix.n:
         # some column has more zeros than ones despite full pairing
         names.append("violations")
-        cases.append(ScanWitness(matrix_to_text(matrix), "paired_but_unbalanced"))
+        cases.append((matrix, "paired_but_unbalanced"))
     return names, cases
 
 
@@ -272,7 +274,7 @@ def _inspect_claim(matrix: BinaryMatrix):
     pair = find_unpaired(matrix)
     if pair is None:
         names.append("violations")
-        cases.append(ScanWitness(matrix_to_text(matrix), "unpaired_missing"))
+        cases.append((matrix, "unpaired_missing"))
         return names, cases
     names.append("unpaired_found")
     i, l = pair
@@ -284,7 +286,7 @@ def _inspect_claim(matrix: BinaryMatrix):
             bad = True
     if bad:
         names.append("violations")
-        cases.append(ScanWitness(matrix_to_text(matrix), "nonzero_terminal"))
+        cases.append((matrix, "nonzero_terminal"))
     return names, cases
 
 
@@ -299,8 +301,8 @@ def _inspect_remark(matrix: BinaryMatrix):
         and props.has_all_zero_column
     )
     if confirmed:
-        return ["confirmed"], [ScanWitness(matrix_to_text(matrix), "remark_counterexample")]
-    return ["violations"], [ScanWitness(matrix_to_text(matrix), "remark_violation")]
+        return ["confirmed"], [(matrix, "remark_counterexample")]
+    return ["violations"], [(matrix, "remark_violation")]
 
 
 def _inspect_converse(matrix: BinaryMatrix):
@@ -309,13 +311,13 @@ def _inspect_converse(matrix: BinaryMatrix):
     cases = []
     if heavy and not run_a1(matrix).value:
         names.append("converse_gap_a1")
-        cases.append(ScanWitness(matrix_to_text(matrix), "converse_gap_a1"))
+        cases.append((matrix, "converse_gap_a1"))
     props = matrix_properties(matrix)
     if props.distinct_columns and not props.has_all_zero_column:
         names.append("a2_checked")
         if heavy and not run_a2(matrix).value:
             names.append("converse_gap_a2")
-            cases.append(ScanWitness(matrix_to_text(matrix), "converse_gap_a2"))
+            cases.append((matrix, "converse_gap_a2"))
     return names, cases
 
 
@@ -334,11 +336,11 @@ def _inspect_order_sensitivity(perm_budget: int, matrix: BinaryMatrix):
     base_a1 = run_a1(matrix).value
     if any(run_a1(matrix, order=explicit_order(p)).value != base_a1 for p in perms):
         names += ["a1_order_mismatch", "violations"]
-        cases.append(ScanWitness(matrix_to_text(matrix), "a1_order_mismatch"))
+        cases.append((matrix, "a1_order_mismatch"))
     base_a2 = run_a2(matrix).value
     if any(run_a2(permute_columns(matrix, p)).value != base_a2 for p in perms):
         names.append("a2_permutation_sensitive")
-        cases.append(ScanWitness(matrix_to_text(matrix), "a2_permutation_sensitive"))
+        cases.append((matrix, "a2_permutation_sensitive"))
     else:
         names.append("a2_permutation_stable")
     return names, cases
@@ -354,7 +356,8 @@ def _scan_chunk(task: tuple) -> tuple[int, dict, list]:
         tested += 1
         names, cases = inspect(matrix)
         tallies.update(names)
-        witnesses += cases[: cap - len(witnesses)]
+        for case, prop in cases[: cap - len(witnesses)]:
+            witnesses.append(ScanWitness(matrix_to_text(case), prop))
     return tested, dict(tallies), witnesses
 
 

@@ -1,13 +1,13 @@
-"""Differential test: the mask recursion against the listings over matrices.
+"""Differential test: the mask recursion against the listings over row tuples.
 
 `run_a1`/`run_a2` recurse on a bitmask below a validated root: of root rows
 in general, and of row values for a plain run of a distinct-row root with at
-most 4 columns, whose sub-frames the process-wide table serves.
-The reference here transcribes the two listings over `BinaryMatrix` with the
-library's own matrix primitives (`branch_set`, `reduce`, `has_heavy_column`,
-`is_heavy`, `column_weight`), one validated matrix per frame.  Both must agree
-on the verdict, the witness (tag, column, line) and the recursion statistics
-(calls, max_depth, cache_hits) on every input below.
+most 7 columns, whose sub-frames of 3 or 2 columns the process-wide tables
+serve.  The reference here transcribes the two listings over plain sorted
+row tuples, with its own reduce and column count and no library matrix
+primitive.  Both must agree on the verdict, the witness (tag, column, line)
+and the recursion statistics (calls, max_depth, cache_hits) on every input
+below, and the tables must stay within their per-width key bound.
 """
 
 import random
@@ -15,6 +15,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from functools import cache
 from itertools import permutations
+from math import comb
 
 import pytest
 
@@ -36,8 +37,28 @@ from heavycol.algorithms import (
     run_a2,
     shuffled_order,
 )
-from heavycol.matrix import column_weight, has_heavy_column, is_heavy
-from heavycol.structure import branch_set, reduce
+from heavycol.structure import reduce
+
+
+def _reduce(rows, k, v):
+    """The v-reduction of column k: rows with v there, column k deleted.  Order
+    is kept, so sorted rows give sorted rows."""
+    low = (1 << (k - 1)) - 1
+    return tuple([r & low | r >> 1 & ~low for r in rows if r >> (k - 1) & 1 == v])
+
+
+def _ones(rows, k):
+    """Ones in column k."""
+    return [r >> (k - 1) & 1 for r in rows].count(1)
+
+
+def _no_heavy(rows, n):
+    """Has every column more zeros than ones?"""
+    m = len(rows)
+    for k in range(1, n + 1):
+        if 2 * _ones(rows, k) >= m:
+            return False
+    return True
 
 
 class _RefRun:
@@ -51,31 +72,31 @@ class _RefRun:
 
     def enter(self, depth):
         self.calls += 1
-        self.max_depth = max(self.max_depth, depth)
+        if depth > self.max_depth:
+            self.max_depth = depth
 
 
-def _ref_a1(matrix, depth, ctx):
+def _ref_a1(rows, n, depth, ctx):
     ctx.enter(depth)
-    if matrix.n == 1:
-        value = is_heavy(matrix, 1)
+    if n == 1:
         if depth == 0:
             ctx.witness = (N1_BASE, 1)
-        return value
+        return 2 * _ones(rows, 1) >= len(rows)
 
     key = None
     if ctx.cache is not None:
-        key = ("a1", matrix.n, tuple(sorted(matrix.rows)), ctx.order)
+        key = ("a1", n, rows, ctx.order)
         if key in ctx.cache:
             ctx.cache_hits += 1
             return ctx.cache[key]
 
     value, tag, col = True, EXHAUSTED_TRUE, None
-    for k in _order_for(ctx.order, matrix.n):
-        branches = branch_set(matrix, k).branches
-        if any(not has_heavy_column(sub) for _, sub in branches):
+    for k in _order_for(ctx.order, n):
+        branches = [sub for sub in (_reduce(rows, k, 0), _reduce(rows, k, 1)) if sub]
+        if any(_no_heavy(sub, n - 1) for sub in branches):
             value, tag, col = False, NOHEAVY_CHILD, k
             break
-        if any(not _ref_a1(sub, depth + 1, ctx) for _, sub in branches):
+        if not all(_ref_a1(sub, n - 1, depth + 1, ctx) for sub in branches):
             value, tag, col = False, CHILD_FALSE, k
             break
 
@@ -86,39 +107,37 @@ def _ref_a1(matrix, depth, ctx):
     return value
 
 
-def _ref_a2(matrix, depth, ctx):
+def _ref_a2(rows, n, depth, ctx):
     ctx.enter(depth)
-    if matrix.m == 1 and matrix.n > 1:
+    if len(rows) == 1 and n > 1:
         if depth == 0:
             ctx.witness = (M1_BASE, None)
         return True
-    if matrix.n == 1:
-        value = is_heavy(matrix, 1)
+    if n == 1:
         if depth == 0:
             ctx.witness = (N1_BASE, 1)
-        return value
+        return 2 * _ones(rows, 1) >= len(rows)
 
     key = None
     if ctx.cache is not None:
-        key = ("a2", matrix.n, tuple(sorted(matrix.rows)))
+        key = ("a2", n, rows)
         if key in ctx.cache:
             ctx.cache_hits += 1
             return ctx.cache[key]
 
     value, tag, col = True, EXHAUSTED_TRUE, None
-    for k in range(1, matrix.n + 1):
-        # lines 11-12 are tested first: they change nothing on a frame that
-        # returns at line 14
-        if matrix.m - column_weight(matrix, k) == 1:
+    for k in range(1, n + 1):
+        sub0 = _reduce(rows, k, 0)
+        # line 12 is formed after the key test: it changes nothing on a frame
+        # that returns at line 14
+        if len(sub0) == 1:
             value, tag, col = True, KEY_CONDITION, k
             break
-        sub0 = reduce(matrix, k, 0)
-        sub1 = reduce(matrix, k, 1)
-        branches = [sub for sub in (sub0, sub1) if sub is not None]
-        if any(not has_heavy_column(sub) for sub in branches):
+        branches = [sub for sub in (sub0, _reduce(rows, k, 1)) if sub]
+        if any(_no_heavy(sub, n - 1) for sub in branches):
             value, tag, col = False, NOHEAVY_CHILD, k
             break
-        if any(not _ref_a2(sub, depth + 1, ctx) for sub in branches):
+        if not all(_ref_a2(sub, n - 1, depth + 1, ctx) for sub in branches):
             value, tag, col = False, CHILD_FALSE, k
             break
 
@@ -132,7 +151,8 @@ def _ref_a2(matrix, depth, ctx):
 def _reference(algo, matrix, order=ASCENDING, memoize=False):
     ctx = _RefRun(order, memoize)
     recurse, lines = (_ref_a1, _A1_LINES) if algo == "a1" else (_ref_a2, _A2_LINES)
-    value = recurse(matrix, 0, ctx)
+    # sorted, so each frame's rows are the sorted multiset the memo cache keys on
+    value = recurse(tuple(sorted(matrix.rows)), matrix.n, 0, ctx)
     tag, col = ctx.witness
     return (value, tag, col, lines[(tag, value)], ctx.calls, ctx.max_depth, ctx.cache_hits)
 
@@ -163,6 +183,15 @@ PLAIN_AND_MEMO = [(algo, ASCENDING, memo) for algo in ("a1", "a2") for memo in (
 def _u4_slice(count, seed):
     ranks = random.Random(seed).sample(range(1, 2**16), count)
     return [BinaryMatrix(tuple(v for v in range(16) if (rank >> v) & 1), 4) for rank in ranks]
+
+
+def _up_closure(generators, n):
+    rows = set()
+    for g in generators:
+        free = [1 << b for b in range(n) if not g >> b & 1]
+        for pick in range(1 << len(free)):
+            rows.add(g | sum(bit for j, bit in enumerate(free) if pick >> j & 1))
+    return sorted(rows)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -199,11 +228,72 @@ def test_fresh_and_warm_tables_agree():
     backwards = runs(reversed(_u4()))
     assert runs(_u4()) == fresh == backwards[::-1]
     assert sum(a1[4] for a1, _ in fresh) == 404_661
-    # a non-root frame of a 4-column root has 3 or 2 columns, so it lies in
-    # one of 8 subcubes of 8 values or one of 24 of 4: 2,400 keys at most
     assert _value_plan.cache_info().currsize == 2
     for a2 in (False, True):
-        assert 0 < len(_value_plan(a2, ASCENDING, 4)[1]) <= 8 * 255 + 24 * 15
+        assert 0 < len(_value_plan(a2, ASCENDING, 4)[1]) <= _table_bound(4) == 2_400
+
+
+def _table_bound(n):
+    """Most keys a table of n-column roots can hold: a tabled frame has 3 or 2
+    columns and a nonempty set of the 8 or 4 values of one subcube (the
+    deleted columns' values fixed)."""
+    return comb(n, 3) * 2 ** (n - 3) * 255 + comb(n, 2) * 2 ** (n - 2) * 15
+
+
+def _wide_runs(n):
+    explicit = explicit_order(tuple(k for k in (4, 7, 1, 6, 2, 5, 3) if k <= n))
+    return [
+        ("a1", ASCENDING), ("a2", ASCENDING),
+        ("a1", shuffled_order(1)), ("a1", shuffled_order(2)), ("a1", explicit),
+    ]
+
+
+@cache
+def _wide_cases():
+    # distinct-row roots of 5-7 columns, which recurse on values: sparse and
+    # half-cube random row sets, which mostly stop a few levels down, and a
+    # few up-closures plus one stray row, which recurse to the 2-column frames
+    rng = random.Random(5)
+    roots = []
+    for n, closures in ((5, 4), (6, 3), (7, 2)):
+        for m in (n + 2, 2 ** (n - 1)):
+            roots += [BinaryMatrix(tuple(sorted(rng.sample(range(2**n), m))), n) for _ in range(8)]
+        generators = [g for g in range(2**n) if g.bit_count() >= n - 2]
+        for _ in range(closures):
+            rows = set(_up_closure(rng.sample(generators, 3), n)) | {rng.randrange(2**n)}
+            roots.append(BinaryMatrix(tuple(sorted(rows)), n))
+    return [(matrix, algo, order) for matrix in roots for algo, order in _wide_runs(matrix.n)]
+
+
+def test_wide_roots_fresh_and_warm_tables():
+    # below a root of n <= 7 columns, frames of 3 or 2 columns come from the
+    # table and wider ones run; an empty table and a warm one, read in the
+    # other order, must both give the listings' results
+    pairs = [((m, algo, order), _reference(algo, m, order)) for m, algo, order in _wide_cases()]
+    _value_plan.cache_clear()
+    for sweep in (pairs, pairs[::-1]):
+        bad = [
+            (matrix.rows, matrix.n, algo, order)
+            for (matrix, algo, order), want in sweep
+            if _fast(algo, matrix, order) != want
+        ]
+        assert bad == []
+
+
+def test_tables_hold_frames_of_at_most_3_columns():
+    _value_plan.cache_clear()
+    for matrix, algo, order in _wide_cases():
+        _fast(algo, matrix, order)
+    for n in (5, 6, 7):
+        cube = BinaryMatrix(tuple(range(2**n)), n)
+        _fast("a1", cube), _fast("a2", cube)
+    plans = {(algo == "a2", order, matrix.n) for matrix, algo, order in _wide_cases()}
+    assert _value_plan.cache_info().currsize == len(plans)
+    for a2, order, n in plans:
+        table = _value_plan(a2, order, n)[1]
+        assert table and max(len(cols) for _, cols in table) <= 3
+        assert len(table) <= _table_bound(n)
+    assert [_table_bound(n) for n in (5, 6, 7)] == [11_400, 44_400, 152_880]
 
 
 def test_tables_never_serve_duplicate_rows_or_memoized_runs():
@@ -214,10 +304,14 @@ def test_tables_never_serve_duplicate_rows_or_memoized_runs():
     assert all(tables.values())
     rng = random.Random(5)
     for _ in range(300):
-        n = rng.randint(2, 4)
+        # duplicate rows and memoized runs up to 7 columns, and any root of 8
+        n = rng.randint(2, 8)
         rows = [rng.randrange(2**n) for _ in range(rng.randint(1, 8))]
-        duplicated = BinaryMatrix(tuple(rows + rows[:1]), n)
-        for matrix, memoize in ((duplicated, False), (BinaryMatrix(tuple(set(rows)), n), True)):
+        distinct = BinaryMatrix(tuple(set(rows)), n)
+        runs = [(BinaryMatrix(tuple(rows + rows[:1]), n), False), (distinct, True)]
+        if n == 8:
+            runs.append((distinct, False))
+        for matrix, memoize in runs:
             run_a1(matrix, memoize=memoize), run_a2(matrix, memoize=memoize)
             run_a1(matrix, order=shuffled_order(1), memoize=memoize)
     assert _value_plan.cache_info().currsize == 2
@@ -275,15 +369,6 @@ def test_a1_every_explicit_order(n):
         for memo in (False, True)
     ]
     assert _mismatches(universe, runs) == []
-
-
-def _up_closure(generators, n):
-    rows = set()
-    for g in generators:
-        free = [1 << b for b in range(n) if not g >> b & 1]
-        for pick in range(1 << len(free)):
-            rows.add(g | sum(bit for j, bit in enumerate(free) if pick >> j & 1))
-    return sorted(rows)
 
 
 def test_wide_and_tall_matrices_with_duplicates():

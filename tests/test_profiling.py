@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from heavycol import GrowthTable, profile_family, run_a1, snapshot_compare
+from heavycol import BinaryMatrix, GrowthTable, profile_family, run_a1, run_a2, snapshot_compare
 from heavycol.algorithms import BudgetExceeded
 from heavycol.profiling import (
     MissingBaseline,
@@ -96,6 +96,19 @@ def test_budget_counts_the_root_build():
         run_a1(matrix, budget_ns=1_000_000)
     table = profile_family(("random_half", 1), [16], algos=("a1",), budget_ns=1_000_000)
     assert table.key_map()[("random_half:1", 16, "a1", "plain")].timed_out
+
+
+def test_budget_checked_at_a_root_that_ends_at_a_base_case():
+    # these roots run no frame below their base case (n = 1, or a2's m = 1),
+    # so the one check of the deadline is the one after the root build
+    for run, matrix in (
+        (run_a1, BinaryMatrix((1,), 1)),
+        (run_a2, BinaryMatrix((1, 0, 1), 1)),
+        (run_a2, BinaryMatrix((5,), 3)),
+    ):
+        assert run(matrix, budget_ns=10**12).stats.calls == 1
+        with pytest.raises(BudgetExceeded):
+            run(matrix, budget_ns=1)
 
 
 def test_csv_roundtrip(cube_table):

@@ -99,6 +99,20 @@ MUTANTS = [
         (f"{PROF}::test_budget_counts_the_root_build",),
     ),
     Mutant(
+        # a root that ends at a base case runs no frame, so nothing reads the deadline
+        "budget-unchecked-at-base-case-root", "algorithms.py",
+        "    if deadline is not None and time.perf_counter_ns() >= deadline:\n"
+        "        raise BudgetExceeded(\"run exceeded its wall-clock budget\")\n",
+        "",
+        (f"{PROF}::test_budget_checked_at_a_root_that_ends_at_a_base_case",),
+    ),
+    Mutant(
+        # 4-column frames below 5- to 7-column roots go into the table too
+        "wide-frames-tabled", "algorithms.py",
+        "_TABLE_MAX_N = 3", "_TABLE_MAX_N = 4",
+        (f"{FAST}::test_tables_hold_frames_of_at_most_3_columns",),
+    ),
+    Mutant(
         # frames with the same value set but other columns share an entry
         "table-key-drops-cols", "algorithms.py",
         "key = (mask, cols)", "key = mask",
