@@ -47,7 +47,10 @@ a2, with the column loop fixed to ascending order:
 
 a2 is a1 plus two True exits, line 0 and the key condition at lines 13-14,
 with its loop fixed ascending; a1's other return sites 3, 5, 11, 15 and 18
-are a2's 5, 7, 21, 28 and 32.  One frame function, ``_certify``, runs both.
+are a2's 5, 7, 21, 28 and 32.  One frame function, ``_certify``, runs both,
+and it is the listings alone: the two frame caches below, the sub-frame
+table and the memo cache, are wrappers that a run's plan puts between a
+frame and its children.
 
 Verdicts carry a witness naming the return site above (tag plus line number
 and the triggering column where one exists) and recursion statistics.
@@ -67,13 +70,13 @@ occurrence and row order plays no part, exactly as with explicit row lists.
 
 Leaf children are counted, not called.  A child with one column returns the
 line-10/20 heavy test its parent has just passed (True), and under a2 a child
-with one row and more than one column returns True at line 1; neither reaches
-the memo cache.  So the parent adds such a child to ``calls`` at depth + 1
-(raising ``max_depth`` to it) and goes on, and ``_certify`` only ever runs on
-frames with at least two columns (and, under a2, at least two rows) below the
-root.  ``calls`` still counts every frame of the listings, leaves included,
-and ``max_depth``, ``cache_hits``, verdicts and witnesses are those of the
-listings' recursion.
+with one row and more than one column returns True at line 1; neither goes
+through a frame cache.  So the parent adds such a child to ``calls`` at
+depth + 1 (raising ``max_depth`` to it) and goes on, and ``_certify`` only
+ever runs on frames with at least two columns (and, under a2, at least two
+rows) below the root.  ``calls`` still counts every frame of the listings,
+leaves included, and ``max_depth``, ``cache_hits``, verdicts and witnesses
+are those of the listings' recursion.
 
 Value positions.  A plain run (no ``memoize``) of a root with distinct rows
 and n <= 7 columns recurses on row values instead: ``mask`` is the row-set
@@ -97,13 +100,19 @@ C(n,3) * 2^(n-3) subcubes of 8 values and C(n,2) * 2^(n-2) of 4, so it holds
 at most C(n,3) * 2^(n-3) * 255 + C(n,2) * 2^(n-2) * 15 entries: 2,400 at
 n = 4, 11,400 at n = 5, 44,400 at n = 6 and 152,880 at n = 7.  Memoized runs
 (whose ``cache_hits`` must not move), duplicate-row roots and roots wider
-than 7 columns never use a table and keep the row-position recursion, every
-child through ``_certify``.
+than 7 columns never use a table and keep the row-position recursion: a
+plain run's children all go through ``_certify``, a memoized run's through
+``_memoized``.
 
-Memoized runs produce identical verdict values; the cache is private to one
+Memoized runs produce identical verdict values.  The cache is private to one
 run, whose algorithm and column order are fixed, and keyed on (n, projected
 rows): the sorted multiset of the frame's rows projected onto its columns,
 not the mask, which is sound because verdicts are row-permutation invariant.
+The root is not keyed, since no other frame has its width.  The width fixes
+the depth (root n minus n), so the frame that stored a key has already
+raised ``max_depth`` to the depth of every frame that hits it, and a hit is
+one call plus one cache hit at that depth and nothing else: it runs no
+frame, so it does not read the budget clock, which its parent has just read.
 """
 
 from __future__ import annotations
@@ -227,27 +236,27 @@ _witness = lru_cache(maxsize=None)(Witness)
 
 
 class _Run:
-    """Mutable per-run context: a1 or a2, statistics, memo cache or sub-frame
-    table, witness, budget."""
+    """Mutable per-run context: a1 or a2, statistics, witness, budget, and the
+    run's plan: its column orders, its one frame cache and the frame function
+    for the children of each width."""
 
     __slots__ = (
-        "a2", "calls", "max_depth", "cache_hits", "cache", "orders", "deadline", "witness",
+        "a2", "calls", "max_depth", "cache_hits", "orders", "deadline", "witness",
         "table", "recurse",
     )
 
     def __init__(
-        self, a2: bool, orders: tuple, memoize: bool, deadline: int | None,
-        table: dict | None, recurse: tuple,
+        self, a2: bool, orders: tuple, deadline: int | None, table: dict | None, recurse: tuple
     ):
         self.a2 = a2
         self.calls = 0
         self.max_depth = 0
         self.cache_hits = 0
-        self.cache: dict | None = {} if memoize else None
         self.orders = orders
         self.deadline = deadline
         self.witness: tuple[str, int | None] | None = None
-        # the sub-frame table of a value-position run, and at index n the frame
+        # the frame cache (a value-position run's sub-frame table, a memoized
+        # run's private memo cache, or None), and at index n the frame
         # function that the children of an n-column frame go through
         self.table = table
         self.recurse = recurse
@@ -284,15 +293,6 @@ def _certify(mask: int, cols: tuple, depth: int, ctx: _Run) -> bool:
     a2 = ctx.a2
     count = mask.bit_count()
     n = len(cols)
-
-    key = None
-    if ctx.cache is not None:
-        key = (n, _memo_rows(mask, cols))
-        cached = ctx.cache.get(key)
-        if cached is not None:
-            ctx.cache_hits += 1
-            return cached
-
     value, tag, col = True, EXHAUSTED_TRUE, None
     recurse = ctx.recurse[n]
     for k in ctx.orders[n]:
@@ -323,9 +323,6 @@ def _certify(mask: int, cols: tuple, depth: int, ctx: _Run) -> bool:
             ctx.calls += leaves
             if depth >= ctx.max_depth:
                 ctx.max_depth = depth + 1
-
-    if ctx.cache is not None:
-        ctx.cache[key] = value
     if depth == 0:
         ctx.witness = (tag, col)
     return value
@@ -352,13 +349,31 @@ def _tabled(mask: int, cols: tuple, depth: int, ctx: _Run) -> bool:
     return value
 
 
+def _memoized(mask: int, cols: tuple, depth: int, ctx: _Run) -> bool:
+    """A non-root frame of a memoized run, keyed on its width and projected
+    rows: a miss runs ``_certify`` and stores its verdict; a hit is one call
+    and one cache hit.  The width fixes the depth, so the frame that stored
+    the key has already raised ``max_depth`` to this one, and the parent has
+    just read the budget clock."""
+    key = (len(cols), _memo_rows(mask, cols))
+    value = ctx.table.get(key)
+    if value is None:
+        value = ctx.table[key] = _certify(mask, cols, depth, ctx)
+    else:
+        ctx.calls += 1
+        ctx.cache_hits += 1
+    return value
+
+
 # Roots up to this width with distinct rows recurse on value positions; below
 # such a root, frames of up to _TABLE_MAX_N columns are served from the table.
 _VALUE_MAX_N = 7
 _TABLE_MAX_N = 3
 
-# A row-position run's children all go through `_certify`, whatever the width.
+# A plain row-position run's children all go through `_certify`, and a
+# memoized run's through `_memoized`, whatever the width.
 _CERTIFY_ALL = (_certify,) * (MAX_COLUMNS + 1)
+_MEMOIZE_ALL = (_memoized,) * (MAX_COLUMNS + 1)
 
 
 @lru_cache(maxsize=64)
@@ -387,7 +402,10 @@ def _run(
         orders, table, recurse = _value_plan(a2, order, n)
         cols = VALUE_COLUMNS[n]
     else:
-        orders, table, recurse = _orders(order, n), None, _CERTIFY_ALL
+        # a memoized run's cache is private to it, and its root is not keyed:
+        # no other frame has the root's width
+        orders = _orders(order, n)
+        table, recurse = ({}, _MEMOIZE_ALL) if memoize else (None, _CERTIFY_ALL)
         mask = (1 << m) - 1
         cols = column_patterns(rows, n)
     # the budget counts from `started`, so the root build spends it too, and
@@ -395,7 +413,7 @@ def _run(
     deadline = None if budget_ns is None else started + budget_ns
     if deadline is not None and time.perf_counter_ns() >= deadline:
         raise BudgetExceeded("run exceeded its wall-clock budget")
-    ctx = _Run(a2, orders, memoize, deadline, table, recurse)
+    ctx = _Run(a2, orders, deadline, table, recurse)
     # the root's own base cases (lines 0-7); no frame below the root meets them
     if a2 and m == 1 and n > 1:
         ctx.calls, value, tag, col = 1, True, M1_BASE, None

@@ -31,7 +31,6 @@ from .algorithms import (
 )
 from .matrix import (
     BinaryMatrix,
-    MatrixError,
     heavy_columns,
     matrix_properties,
     matrix_to_text,
@@ -48,7 +47,6 @@ from .profiling import (
 from .verification import (
     ScanReport,
     UniverseSpec,
-    UniverseTooLarge,
     check_lemma1,
     check_reduction_claim,
     check_theorem1,
@@ -421,9 +419,8 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return _DISPATCH[args.command](args)
-    except (
-        MatrixError, UniverseTooLarge, MissingBaseline, BudgetExceeded, ValueError, OSError
-    ) as exc:
+    # MatrixError and UniverseTooLarge are ValueErrors
+    except (ValueError, MissingBaseline, BudgetExceeded, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

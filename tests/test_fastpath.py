@@ -166,7 +166,9 @@ def _fast(algo, matrix, order=ASCENDING, memoize=False):
     return (v.value, w.tag, w.column, w.line, s.calls, s.max_depth, s.cache_hits)
 
 
-def _mismatches(matrices, runs):
+def _mismatches(matrices, runs, accepted=None):
+    """The runs where the recursion and the reference differ; the matrices
+    that the reference's plain a2 run accepts go into `accepted`, if given."""
     bad = []
     for matrix in matrices:
         for algo, order, memoize in runs:
@@ -174,7 +176,24 @@ def _mismatches(matrices, runs):
             got = _fast(algo, matrix, order, memoize)
             if got != ref:
                 bad.append((matrix.rows, matrix.n, algo, order, memoize, ref, got))
+            if accepted is not None and ref[0] and (algo, memoize) == ("a2", False):
+                accepted.append(matrix)
     return bad
+
+
+def _constrained(matrix):
+    """Has the matrix distinct columns and no all-zero column?"""
+    columns = [tuple(r >> k & 1 for r in matrix.rows) for k in range(matrix.n)]
+    return len(set(columns)) == len(columns) and all(map(any, columns))
+
+
+# a2's True verdicts under the listings over all of U(n), and over the
+# constrained matrices of U(n) alone
+_A2_ACCEPTS = {1: (2, 2), 2: (14, 7), 3: (184, 127), 4: (17_283, 15_790)}
+
+
+def _assert_a2_accepts(accepted, n):
+    assert (len(accepted), sum(map(_constrained, accepted))) == _A2_ACCEPTS[n]
 
 
 PLAIN_AND_MEMO = [(algo, ASCENDING, memo) for algo in ("a1", "a2") for memo in (False, True)]
@@ -199,7 +218,9 @@ def test_all_of_small_universes(n):
     universe = list(enumerate_universe(UniverseSpec(n=n)))
     assert len(universe) == 2 ** (2**n) - 1
     shuffled = [("a1", shuffled_order(seed), memo) for seed in range(3) for memo in (False, True)]
-    assert _mismatches(universe, PLAIN_AND_MEMO + shuffled) == []
+    accepted = []
+    assert _mismatches(universe, PLAIN_AND_MEMO + shuffled, accepted) == []
+    _assert_a2_accepts(accepted, n)
 
 
 def test_seeded_slice_of_u4():
@@ -213,7 +234,10 @@ def _u4():
 
 @pytest.mark.parametrize("algo", ["a1", "a2"])
 def test_all_of_u4(algo):
-    assert _mismatches(_u4(), [(algo, ASCENDING, False)]) == []
+    accepted = []
+    assert _mismatches(_u4(), [(algo, ASCENDING, False)], accepted) == []
+    if algo == "a2":
+        _assert_a2_accepts(accepted, 4)
 
 
 def test_fresh_and_warm_tables_agree():

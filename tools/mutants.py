@@ -61,8 +61,23 @@ MUTANTS = [
     ),
     Mutant(
         "memo-key-without-n", "algorithms.py",
-        "key = (n, _memo_rows(mask, cols))", "key = _memo_rows(mask, cols)",
+        "key = (len(cols), _memo_rows(mask, cols))", "key = _memo_rows(mask, cols)",
         (f"{FAST}::test_duplicate_rows_and_row_order",),
+    ),
+    Mutant(
+        "memo-hit-not-counted", "algorithms.py",
+        "    else:\n        ctx.calls += 1\n        ctx.cache_hits += 1\n",
+        "    else:\n        ctx.cache_hits += 1\n",
+        (f"{FAST}::test_memo_key_is_the_projected_row_multiset",
+         f"{FAST}::test_full_cube_growth_follows_its_recurrences"),
+    ),
+    Mutant(
+        "memo-miss-not-stored", "algorithms.py",
+        "value = ctx.table[key] = _certify(mask, cols, depth, ctx)",
+        "value = _certify(mask, cols, depth, ctx)",
+        (f"{FAST}::test_memo_key_is_the_projected_row_multiset",
+         f"{FAST}::test_full_cube_growth_follows_its_recurrences",
+         f"{FAST}::test_all_of_small_universes[3]"),
     ),
     Mutant(
         "unsorted-memo-rows", "algorithms.py",
