@@ -55,7 +55,8 @@ frame and its children.
 Verdicts carry a witness naming the return site above (tag plus line number
 and the triggering column where one exists) and recursion statistics.
 Witnesses are frozen, so one instance serves every run that returns at the
-same site.
+same site: a run looks it up once, by (procedure, verdict, tag, column), in
+a cache that picks the line from the procedure's listing.
 
 ``run_a1``/``run_a2`` take one validated ``BinaryMatrix``; below that root a
 frame is an int ``mask`` of root row positions (bit i for root row i+1) plus
@@ -81,13 +82,14 @@ are those of the listings' recursion.
 Value positions.  A plain run (no ``memoize``) of a root with distinct rows
 and n <= 7 columns recurses on row values instead: ``mask`` is the row-set
 rank, bit v set for each row value v (the rows are distinct exactly when its
-popcount is m), and ``cols`` is the constant tuple of ``O_k``, the values in
-0..2^n - 1 with a one in column k, from ``matrix.VALUE_COLUMNS``, the table
-the scans' constraint filter reads too.  Every popcount is the one the row
-positions give, so verdicts, witnesses, ``calls`` and ``max_depth`` are
-unchanged by construction.  A non-root frame ``(mask, cols)`` is then the
-same whichever root of that width it sits under, and a frame of at most 3
-columns keys one table per process for each (procedure, column order, n).  An
+popcount is m; a root of more than 2^n rows is not ranked), and ``cols`` is
+the constant tuple of ``O_k``, the values in 0..2^n - 1 with a one in column
+k, from ``matrix.VALUE_COLUMNS``, the table the scans' constraint filter
+reads too.  Every popcount is the one the row positions give, so verdicts,
+witnesses, ``calls`` and ``max_depth`` are unchanged by construction.  A
+non-root frame ``(mask, cols)`` is then the same whichever root of that width
+it sits under, and a frame of at most 3 columns keys one table per process
+for each (procedure, column order, n).  An
 entry is ``(value, calls, height)``: the verdict, the frames of the subtree
 and its depth below the frame.  A hit adds ``calls`` and raises ``max_depth``
 to depth + height; a miss runs the frame and stores its entry only once the
@@ -176,12 +178,23 @@ def explicit_order(perm) -> tuple:
     return ("explicit", tuple(perm))
 
 
-@dataclass(frozen=True)
+# RecursionStats and Verdict write their fields straight into the instance
+# dict: a frozen dataclass's generated __init__ sets each one through
+# object.__setattr__, about twice the cost, and every run builds one of each.
+# Equality, hashing, repr, asdict and FrozenInstanceError are the dataclass's.
+@dataclass(frozen=True, init=False)
 class RecursionStats:
     calls: int
     max_depth: int
     cache_hits: int
     elapsed_ns: int
+
+    def __init__(self, calls: int, max_depth: int, cache_hits: int, elapsed_ns: int):
+        fields = self.__dict__
+        fields["calls"] = calls
+        fields["max_depth"] = max_depth
+        fields["cache_hits"] = cache_hits
+        fields["elapsed_ns"] = elapsed_ns
 
 
 @dataclass(frozen=True)
@@ -193,16 +206,22 @@ class Witness:
     line: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Verdict:
     value: bool
     witness: Witness | None
     stats: RecursionStats
 
+    def __init__(self, value: bool, witness: Witness | None, stats: RecursionStats):
+        fields = self.__dict__
+        fields["value"] = value
+        fields["witness"] = witness
+        fields["stats"] = stats
+
 
 def _validate_order(order: ColumnOrder, n: int) -> None:
-    if order == ASCENDING:
-        return
+    """Reject any order but a shuffled or explicit one (ASCENDING is checked
+    by the caller, so the common run makes no call here)."""
     if isinstance(order, tuple) and len(order) == 2:
         kind, arg = order
         if kind == "shuffled" and isinstance(arg, int):
@@ -232,34 +251,24 @@ def _orders(order: ColumnOrder, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(_order_for(order, w) for w in range(n + 1))
 
 
-_witness = lru_cache(maxsize=None)(Witness)
+@lru_cache(maxsize=None)
+def _witness(a2: bool, value: bool, tag: str, col: int | None) -> Witness:
+    """The witness of a return site, one shared instance per site and column."""
+    return Witness(tag, col, (_A2_LINES if a2 else _A1_LINES)[tag, value])
 
 
 class _Run:
-    """Mutable per-run context: a1 or a2, statistics, witness, budget, and the
-    run's plan: its column orders, its one frame cache and the frame function
-    for the children of each width."""
+    """Mutable per-run context: a1 or a2, statistics, the root's (tag, column)
+    witness, budget deadline, and the run's plan: its column orders, its one
+    frame cache (a value-position run's sub-frame table, a memoized run's
+    private memo cache, or None) and, at index n, the frame function that the
+    children of an n-column frame go through.  `_run` fills every slot itself:
+    an ``__init__`` call costs about a twentieth of a U(4) run."""
 
     __slots__ = (
         "a2", "calls", "max_depth", "cache_hits", "orders", "deadline", "witness",
         "table", "recurse",
     )
-
-    def __init__(
-        self, a2: bool, orders: tuple, deadline: int | None, table: dict | None, recurse: tuple
-    ):
-        self.a2 = a2
-        self.calls = 0
-        self.max_depth = 0
-        self.cache_hits = 0
-        self.orders = orders
-        self.deadline = deadline
-        self.witness: tuple[str, int | None] | None = None
-        # the frame cache (a value-position run's sub-frame table, a memoized
-        # run's private memo cache, or None), and at index n the frame
-        # function that the children of an n-column frame go through
-        self.table = table
-        self.recurse = recurse
 
 
 def _heavy(mask: int, count: int, cols) -> bool:
@@ -393,9 +402,10 @@ def _run(
         raise ValueError(f"budget must be positive or None, got {budget_ns} ns")
     rows, n = matrix.rows, matrix.n
     m = len(rows)
-    # the row-set rank, whose popcount is m exactly when the rows are distinct
+    # the row-set rank, whose popcount is m exactly when the rows are
+    # distinct, which more than 2^n rows never are
     mask = 0
-    if n <= _VALUE_MAX_N and not memoize:
+    if n <= _VALUE_MAX_N and not memoize and m <= 1 << n:
         for r in rows:
             mask |= 1 << r
     if mask.bit_count() == m:
@@ -413,7 +423,10 @@ def _run(
     deadline = None if budget_ns is None else started + budget_ns
     if deadline is not None and time.perf_counter_ns() >= deadline:
         raise BudgetExceeded("run exceeded its wall-clock budget")
-    ctx = _Run(a2, orders, deadline, table, recurse)
+    ctx = object.__new__(_Run)
+    ctx.a2, ctx.orders, ctx.deadline, ctx.table, ctx.recurse = a2, orders, deadline, table, recurse
+    ctx.calls = ctx.max_depth = ctx.cache_hits = 0
+    ctx.witness = None
     # the root's own base cases (lines 0-7); no frame below the root meets them
     if a2 and m == 1 and n > 1:
         ctx.calls, value, tag, col = 1, True, M1_BASE, None
@@ -422,10 +435,8 @@ def _run(
     else:
         value = _certify(mask, cols, 0, ctx)
         tag, col = ctx.witness
-    lines = _A2_LINES if a2 else _A1_LINES
-    # positional: a frozen dataclass takes keywords markedly slower
     stats = RecursionStats(ctx.calls, ctx.max_depth, ctx.cache_hits, time.perf_counter_ns() - started)
-    return Verdict(value, _witness(tag, col, lines[(tag, value)]), stats)
+    return Verdict(value, _witness(a2, value, tag, col), stats)
 
 
 def run_a1(
@@ -436,7 +447,8 @@ def run_a1(
     budget_ns: int | None = None,
 ) -> Verdict:
     """Run a1 on the matrix, its column loop in the given order."""
-    _validate_order(order, matrix.n)
+    if order != ASCENDING:
+        _validate_order(order, matrix.n)
     return _run(False, matrix, order, memoize, budget_ns)
 
 

@@ -47,31 +47,37 @@ class IndexOutOfRange(MatrixError):
     """Row or column index outside the matrix."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BinaryMatrix:
     """Ordered rows as bit patterns plus the column count.
 
     rows[i-1] holds row i; bit k-1 of a row is the entry in column k.
-    m >= 1 and 1 <= n <= 63 are enforced at construction.
+    m >= 1 and 1 <= n <= 63 are enforced at construction; any iterable of
+    rows is stored as a tuple.
     """
 
     rows: tuple[int, ...]
     n: int
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.rows, tuple):
-            object.__setattr__(self, "rows", tuple(self.rows))
-        if self.n > MAX_COLUMNS:
-            raise TooWide(f"{self.n} columns exceeds the {MAX_COLUMNS}-column cap")
-        if self.n < 1:
-            raise MatrixError(f"column count must be at least 1, got {self.n}")
-        if not self.rows:
+    def __init__(self, rows, n: int) -> None:
+        # checked as locals, then written straight into the instance dict,
+        # which costs about half of a frozen dataclass's generated __init__
+        if not isinstance(rows, tuple):
+            rows = tuple(rows)
+        if n > MAX_COLUMNS:
+            raise TooWide(f"{n} columns exceeds the {MAX_COLUMNS}-column cap")
+        if n < 1:
+            raise MatrixError(f"column count must be at least 1, got {n}")
+        if not rows:
             raise MatrixError("a matrix needs at least one row")
-        if min(self.rows) < 0:
-            first = next(r for r in self.rows if r < 0)
+        if min(rows) < 0:
+            first = next(r for r in rows if r < 0)
             raise MatrixError(f"negative row encoding {first}")
-        if max(self.rows) >> self.n:
-            raise MatrixError(f"row uses bits beyond column {self.n}")
+        if max(rows) >> n:
+            raise MatrixError(f"row uses bits beyond column {n}")
+        fields = self.__dict__
+        fields["rows"] = rows
+        fields["n"] = n
 
     @property
     def m(self) -> int:

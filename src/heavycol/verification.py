@@ -20,12 +20,14 @@ certificate guarantees at desk scale:
 
 Every scan runs through `_run_scan` and every report comes from one merge,
 `_report`.  An inspector is module-level, takes the matrix last and returns
-(tally names to bump, witness cases), each case a (matrix, property) pair;
-`_scan_chunk` renders a case as text only if it keeps it under the witness
-cap.  A scan binds an inspector's other parameters with `functools.partial`,
-so the process pool can pickle it.  Inspectors read the names they scan with
-(`run_a1`, `heavy_columns`, `BinaryMatrix`, ...) from this module's globals
-on every call: the benchmark's traced pass wraps them.
+(a tuple of tally names to bump, witness cases), each case a (matrix,
+property) pair.  `_scan_chunk` counts each distinct names tuple and bumps the
+tallies from those counts once per range, and it renders a case as text only
+if it keeps it under the witness cap.  A scan binds an inspector's other
+parameters with `functools.partial`, so the process pool can pickle it.
+Inspectors and the universe walk read the names they scan with (`run_a1`,
+`heavy_columns`, `BinaryMatrix`, ...) from this module's globals on every
+call: the benchmark's traced pass wraps them.
 
 Reports are deterministic byte-for-byte for a fixed spec, whatever the
 worker count: work is split into contiguous rank ranges, partial results are
@@ -37,7 +39,6 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import accumulate, combinations, permutations
@@ -172,12 +173,6 @@ def _byte_rows(offset: int) -> tuple[tuple[int, ...], ...]:
 _BYTE_ROWS = (_byte_rows(0), _byte_rows(8))
 
 
-def _matrix_from_rank(rank: int, n: int) -> BinaryMatrix:
-    """Subset-rank to matrix: bit v of rank selects row encoding v."""
-    low, high = _BYTE_ROWS
-    return BinaryMatrix(low[rank & 255] + high[rank >> 8], n)
-
-
 @lru_cache(maxsize=64)
 def _size_bounds(space: int, m_min: int, m_max: int) -> tuple[int, ...]:
     """Running totals of the subset counts C(space, m) for m from m_min up."""
@@ -207,11 +202,18 @@ def _iter_range(spec: UniverseSpec, lo: int, hi: int) -> Iterator[BinaryMatrix]:
         for index in range(lo, hi):
             yield _draw_random(spec, index)
     else:
-        bottom, top = spec.m_min, spec.m_max
+        # rank to rows: bit v of the rank selects row encoding v, read off
+        # two bytes; the constraint test is `_passes_constraints` inline
+        bottom, top, n = spec.m_min, spec.m_max, spec.n
         masks = _constraint_masks(spec)
+        low, high = _BYTE_ROWS
         for rank in range(lo, hi):
-            if bottom <= rank.bit_count() <= top and _passes_constraints(masks, rank):
-                yield _matrix_from_rank(rank, spec.n)
+            if bottom <= rank.bit_count() <= top:
+                for mask in masks:
+                    if not rank & mask:
+                        break
+                else:
+                    yield BinaryMatrix(low[rank & 255] + high[rank >> 8], n)
 
 
 def enumerate_universe(spec: UniverseSpec) -> Iterator[BinaryMatrix]:
@@ -230,13 +232,11 @@ def _full_range(spec: UniverseSpec) -> tuple[int, int]:
 # --- per-matrix inspectors (contract in the module docstring) -------------
 
 
-def _inspect_guarantee(algo: str, matrix: BinaryMatrix):
-    verdict = (run_a2 if algo == "a2" else run_a1)(matrix)
-    value = verdict.value
-    heavy = bool(heavy_columns(matrix))
+@lru_cache(maxsize=None)
+def _guarantee_names(algo: str, value: bool, heavy: bool, key_hit: bool) -> tuple[str, ...]:
+    """The tally names of one theorem1/theorem2 outcome, one tuple per outcome."""
     names = [f"{algo}_{'true' if value else 'false'}", "has_heavy" if heavy else "no_heavy"]
-    cases = []
-    if value and verdict.witness.tag == KEY_CONDITION:
+    if key_hit:
         names.append("key_condition_hits")
     if heavy and not value:
         names.append(f"converse_gap_{algo}")
@@ -244,19 +244,26 @@ def _inspect_guarantee(algo: str, matrix: BinaryMatrix):
         names.append(f"no_heavy_and_{algo}_false")
     if value and not heavy:
         names.append("violations")
-        cases.append((matrix, f"{algo}_true_without_heavy"))
-    return names, cases
+    return tuple(names)
+
+
+def _inspect_guarantee(algo: str, matrix: BinaryMatrix):
+    verdict = (run_a2 if algo == "a2" else run_a1)(matrix)
+    value = verdict.value
+    heavy = bool(heavy_columns(matrix))
+    names = _guarantee_names(algo, value, heavy, verdict.witness.tag == KEY_CONDITION)
+    if value and not heavy:
+        return names, ((matrix, f"{algo}_true_without_heavy"),)
+    return names, ()
 
 
 def _inspect_lemma1(matrix: BinaryMatrix):
-    hypothesis = find_unpaired(matrix) is None
-    names = ["hypothesis_holds" if hypothesis else "hypothesis_fails"]
-    cases = []
-    if hypothesis and len(heavy_columns(matrix)) < matrix.n:
+    if find_unpaired(matrix) is not None:
+        return ("hypothesis_fails",), ()
+    if len(heavy_columns(matrix)) < matrix.n:
         # some column has more zeros than ones despite full pairing
-        names.append("violations")
-        cases.append((matrix, "paired_but_unbalanced"))
-    return names, cases
+        return ("hypothesis_holds", "violations"), ((matrix, "paired_but_unbalanced"),)
+    return ("hypothesis_holds",), ()
 
 
 def _shuffled_reduction_order(matrix: BinaryMatrix, l: int) -> tuple[int, ...]:
@@ -268,15 +275,10 @@ def _shuffled_reduction_order(matrix: BinaryMatrix, l: int) -> tuple[int, ...]:
 
 def _inspect_claim(matrix: BinaryMatrix):
     if heavy_columns(matrix):
-        return ["has_heavy"], []
-    names = ["no_heavy"]
-    cases = []
+        return ("has_heavy",), ()
     pair = find_unpaired(matrix)
     if pair is None:
-        names.append("violations")
-        cases.append((matrix, "unpaired_missing"))
-        return names, cases
-    names.append("unpaired_found")
+        return ("no_heavy", "violations"), ((matrix, "unpaired_missing"),)
     i, l = pair
     orders = [None, _shuffled_reduction_order(matrix, l)]
     bad = False
@@ -285,9 +287,8 @@ def _inspect_claim(matrix: BinaryMatrix):
         if any(trace.terminal.rows):
             bad = True
     if bad:
-        names.append("violations")
-        cases.append((matrix, "nonzero_terminal"))
-    return names, cases
+        return ("no_heavy", "unpaired_found", "violations"), ((matrix, "nonzero_terminal"),)
+    return ("no_heavy", "unpaired_found"), ()
 
 
 def _inspect_remark(matrix: BinaryMatrix):
@@ -301,8 +302,8 @@ def _inspect_remark(matrix: BinaryMatrix):
         and props.has_all_zero_column
     )
     if confirmed:
-        return ["confirmed"], [(matrix, "remark_counterexample")]
-    return ["violations"], [(matrix, "remark_violation")]
+        return ("confirmed",), ((matrix, "remark_counterexample"),)
+    return ("violations",), ((matrix, "remark_violation"),)
 
 
 def _inspect_converse(matrix: BinaryMatrix):
@@ -318,7 +319,7 @@ def _inspect_converse(matrix: BinaryMatrix):
         if heavy and not run_a2(matrix).value:
             names.append("converse_gap_a2")
             cases.append((matrix, "converse_gap_a2"))
-    return names, cases
+    return tuple(names), cases
 
 
 def _perm_sample(matrix: BinaryMatrix, budget: int) -> list[tuple[int, ...]]:
@@ -343,22 +344,26 @@ def _inspect_order_sensitivity(perm_budget: int, matrix: BinaryMatrix):
         cases.append((matrix, "a2_permutation_sensitive"))
     else:
         names.append("a2_permutation_stable")
-    return names, cases
+    return tuple(names), cases
 
 
 def _scan_chunk(task: tuple) -> tuple[int, dict, list]:
-    """Inspect one range: (matrices tested, tallies, its first `cap` witnesses)."""
+    """Inspect one range: (matrices tested, tallies, its first `cap` witnesses).
+    Each distinct names tuple is counted, and the counts become tallies once."""
     spec, inspect, lo, hi, cap = task
-    tested = 0
-    tallies: Counter = Counter()
+    counts: dict[tuple[str, ...], int] = {}
     witnesses: list[ScanWitness] = []
     for matrix in _iter_range(spec, lo, hi):
-        tested += 1
         names, cases = inspect(matrix)
-        tallies.update(names)
-        for case, prop in cases[: cap - len(witnesses)]:
-            witnesses.append(ScanWitness(matrix_to_text(case), prop))
-    return tested, dict(tallies), witnesses
+        counts[names] = counts.get(names, 0) + 1
+        if cases:
+            for case, prop in cases[: cap - len(witnesses)]:
+                witnesses.append(ScanWitness(matrix_to_text(case), prop))
+    tallies: dict[str, int] = {}
+    for names, count in counts.items():
+        for name in names:
+            tallies[name] = tallies.get(name, 0) + count
+    return sum(counts.values()), tallies, witnesses
 
 
 def _chunk_ranges(lo: int, hi: int, pieces: int) -> list[tuple[int, int]]:

@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -22,6 +24,9 @@ from heavycol.algorithms import (
     M1_BASE,
     N1_BASE,
     NOHEAVY_CHILD,
+    RecursionStats,
+    Verdict,
+    Witness,
     explicit_order,
     shuffled_order,
 )
@@ -231,3 +236,29 @@ def test_a2_accepts_whatever_a1_accepts(m):
     # duplicate rows included: a2 runs a1's frames with two more True exits
     if run_a1(m).value:
         assert run_a2(m).value
+
+
+def test_run_values_stay_frozen_dataclasses():
+    # RecursionStats and Verdict fill their own fields; the dataclass API on
+    # them is the generated one
+    stats = RecursionStats(5, 2, 1, 40)
+    assert dataclasses.asdict(stats) == {"calls": 5, "max_depth": 2, "cache_hits": 1, "elapsed_ns": 40}
+    assert repr(stats) == "RecursionStats(calls=5, max_depth=2, cache_hits=1, elapsed_ns=40)"
+    same = RecursionStats(calls=5, max_depth=2, cache_hits=1, elapsed_ns=40)
+    assert stats == same and hash(stats) == hash(same)
+    assert stats != RecursionStats(5, 2, 1, 41)
+    assert dataclasses.replace(stats, calls=6) == RecursionStats(6, 2, 1, 40)
+    verdict = run_a2(parse_matrix("10\n01"))
+    assert dataclasses.asdict(verdict) == {
+        "value": True,
+        "witness": {"tag": KEY_CONDITION, "column": 1, "line": 14},
+        "stats": dataclasses.asdict(verdict.stats),
+    }
+    copy = Verdict(True, Witness(KEY_CONDITION, 1, 14), RecursionStats(*dataclasses.astuple(verdict.stats)))
+    assert copy == verdict and hash(copy) == hash(verdict)
+    assert pickle.loads(pickle.dumps(verdict)) == verdict
+    for value, field in ((stats, "calls"), (verdict, "value"), (verdict, "stats")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, field, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(value, field)

@@ -338,6 +338,11 @@ def test_tables_never_serve_duplicate_rows_or_memoized_runs():
         for matrix, memoize in runs:
             run_a1(matrix, memoize=memoize), run_a2(matrix, memoize=memoize)
             run_a1(matrix, order=shuffled_order(1), memoize=memoize)
+    for _ in range(5):
+        # more rows than the 128 values of 7 columns: repeated by count alone
+        tall = BinaryMatrix(tuple(rng.randrange(128) for _ in range(rng.randint(129, 200))), 7)
+        for memoize in (False, True):
+            run_a1(tall, memoize=memoize), run_a2(tall, memoize=memoize)
     assert _value_plan.cache_info().currsize == 2
     assert {a2: _value_plan(a2, ASCENDING, 3)[1] for a2 in (False, True)} == tables
 

@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -106,6 +108,29 @@ def test_row_check_messages():
         assert str(caught.value) == expected
         raised += 1
     assert raised > 100
+
+
+def test_binary_matrix_stays_a_frozen_dataclass():
+    # it fills its own fields after checking them; the dataclass API on it
+    # is the generated one
+    matrix = BinaryMatrix([1, 2, 3], 2)
+    assert type(matrix.rows) is tuple and matrix.rows == (1, 2, 3)
+    assert BinaryMatrix(iter([1, 2, 3]), 2).rows == (1, 2, 3)
+    same = BinaryMatrix(rows=(1, 2, 3), n=2)
+    assert matrix == same and hash(matrix) == hash(same)
+    assert matrix != BinaryMatrix((1, 2, 3), 3) and matrix != BinaryMatrix((2, 1, 3), 2)
+    assert repr(matrix) == "BinaryMatrix(rows=(1, 2, 3), n=2)"
+    assert dataclasses.asdict(matrix) == {"rows": (1, 2, 3), "n": 2}
+    assert dataclasses.replace(matrix, n=3) == BinaryMatrix((1, 2, 3), 3)
+    with pytest.raises(TooWide):
+        dataclasses.replace(matrix, n=64)
+    assert pickle.loads(pickle.dumps(matrix)) == matrix
+    for field, value in (("rows", (0,)), ("n", 3)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(matrix, field, value)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(matrix, field)
+    assert matrix.rows == (1, 2, 3) and matrix.n == 2
 
 
 def test_column_weight_examples():

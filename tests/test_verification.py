@@ -1,5 +1,7 @@
 import json
 import random
+from collections import Counter
+from functools import partial
 
 import pytest
 
@@ -14,9 +16,9 @@ from heavycol import (
     remark_counterexamples,
     UniverseSpec,
 )
-from heavycol import BinaryMatrix, matrix_properties, verification
+from heavycol import BinaryMatrix, matrix_properties, matrix_to_text, verification
 from heavycol.cli import to_json
-from heavycol.verification import MAX_WORKERS, UniverseTooLarge
+from heavycol.verification import MAX_WORKERS, ScanWitness, UniverseTooLarge
 
 
 def constrained(n, **kw):
@@ -243,9 +245,9 @@ def _draw_linear(spec, index):
             return rows
 
 
-def _meets_by_properties(spec, rows):
+def _meets_by_properties(spec, rows, props=None):
     # the column constraints read off matrix_properties' two flags
-    props = matrix_properties(BinaryMatrix(rows, spec.n))
+    props = props or matrix_properties(BinaryMatrix(rows, spec.n))
     return not (
         (spec.require_distinct_columns and not props.distinct_columns)
         or (spec.forbid_all_zero_column and props.has_all_zero_column)
@@ -267,14 +269,23 @@ def test_random_draws_keep_their_stream(spec):
         assert verification._draw_random(spec, index).rows == _draw_linear(spec, index)
 
 
-def test_rank_rows_are_the_set_bits():
-    for n in range(1, 5):
-        for rank in range(1, 2 ** (2**n)):
-            rows = tuple(v for v in range(2**n) if rank >> v & 1)
-            assert verification._matrix_from_rank(rank, n).rows == rows
-
-
 _FLAGS = [(True, False), (False, True), (True, True)]
+
+
+def test_rank_rows_are_the_set_bits():
+    # the walk of U(1..4) is every rank's set-bit rows, in rank order, kept
+    # when the row count is in range and matrix_properties meets the flags
+    for n in range(1, 5):
+        every = [tuple(v for v in range(2**n) if rank >> v & 1) for rank in range(1, 2 ** (2**n))]
+        props = [matrix_properties(BinaryMatrix(rows, n)) for rows in every]
+        for distinct, nonzero in [(False, False), *_FLAGS]:
+            flags = dict(require_distinct_columns=distinct, forbid_all_zero_column=nonzero)
+            spec = UniverseSpec(n=n, **flags)
+            met = [rows for rows, p in zip(every, props) if _meets_by_properties(spec, rows, p)]
+            for m_min, m_max in [(1, 2**n), (2, max(2, 2**n - 1))]:
+                spec = UniverseSpec(n=n, m_min=m_min, m_max=m_max, **flags)
+                expected = [rows for rows in met if m_min <= len(rows) <= m_max]
+                assert [m.rows for m in enumerate_universe(spec)] == expected
 
 
 def _rank_filter_mismatches(spec, row_sets):
@@ -300,6 +311,49 @@ def test_rank_filter_matches_matrix_properties(distinct, nonzero):
         kept = [rows for rows in draws if _meets_by_properties(spec, rows)]
         assert 0 < len(kept) < len(draws)
         assert _rank_filter_mismatches(spec, draws) == []
+
+
+# each scan with its inspector, and whether it takes unconstrained (False),
+# constrained (True) or both kinds of universe (None)
+_INSPECTED = [
+    (check_theorem1, partial(verification._inspect_guarantee, "a1"), False),
+    (check_theorem2, partial(verification._inspect_guarantee, "a2"), True),
+    (check_lemma1, verification._inspect_lemma1, None),
+    (check_reduction_claim, verification._inspect_claim, None),
+    (converse_scan, verification._inspect_converse, None),
+    (partial(order_sensitivity_scan, perm_budget=4),
+     partial(verification._inspect_order_sensitivity, 4), None),
+]
+
+
+def _universes(constrain):
+    flags = dict(require_distinct_columns=constrain, forbid_all_zero_column=constrain)
+    yield from (UniverseSpec(n=n, **flags) for n in (1, 2, 3))
+    yield UniverseSpec(n=5, mode="random", samples=200, seed=9, **flags)
+
+
+@pytest.mark.parametrize(
+    "scan, inspect, constrained", _INSPECTED,
+    ids=["theorem1", "theorem2", "lemma1", "claim", "converse", "order-sensitivity"],
+)
+def test_tallies_count_every_inspected_name(scan, inspect, constrained):
+    # a report's tallies and witnesses are a plain Counter over each matrix's
+    # names and the leading cases, however `_scan_chunk` groups them
+    for constrain in (False, True) if constrained is None else (constrained,):
+        for spec in _universes(constrain):
+            counts, cases, tested = Counter(), [], 0
+            for matrix in enumerate_universe(spec):
+                names, found = inspect(matrix)
+                counts.update(names)
+                cases += found
+                tested += 1
+            report = scan(spec, witness_cap=5)
+            assert report.tested == tested
+            assert set(counts) <= set(report.tallies)
+            assert report.tallies == {key: counts[key] for key in report.tallies}
+            assert report.violations == tuple(
+                ScanWitness(matrix_to_text(matrix), prop) for matrix, prop in cases[:5]
+            )
 
 
 def test_chunk_ranges_partition_exactly():

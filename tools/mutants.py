@@ -139,6 +139,25 @@ MUTANTS = [
         (f"{FAST}::test_all_of_small_universes[3]", f"{FAST}::test_a1_every_explicit_order[3]"),
     ),
     Mutant(
+        # the walk yields every rank in the row-count range, constraints or not
+        "walk-ignores-constraint", "verification.py",
+        "if not rank & mask:\n                        break",
+        "if not rank & mask:\n                        continue",
+        (f"{VERIFY}::test_constraints_filter", f"{VERIFY}::test_theorem2_scan_n2"),
+    ),
+    Mutant(
+        # a names tuple seen many times in a range bumps its tallies once
+        "tally-counts-once", "verification.py",
+        "tallies[name] = tallies.get(name, 0) + count", "tallies[name] = tallies.get(name, 0) + 1",
+        (f"{VERIFY}::test_witness_cap_commutes_with_partitioning",),
+    ),
+    Mutant(
+        # a1 witnesses read a2's line numbers and a2's read a1's
+        "witness-lines-swapped", "algorithms.py",
+        "(_A2_LINES if a2 else _A1_LINES)[tag, value]", "(_A1_LINES if a2 else _A2_LINES)[tag, value]",
+        (f"{ALGOS}::test_a2_key_condition", f"{ALGOS}::test_child_false_witness"),
+    ),
+    Mutant(
         # column 1's all-zero test dropped from the rank filter
         "rank-filter-skips-zero-column", "verification.py",
         "masks += cols\n", "masks += cols[1:]\n",
