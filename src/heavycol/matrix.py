@@ -14,6 +14,7 @@ equivalently at least ceil(m/2) for an m-row matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 MAX_COLUMNS = 63
@@ -164,26 +165,40 @@ def has_heavy_column(matrix: BinaryMatrix) -> bool:
     return bool(heavy_columns(matrix))
 
 
-# Byte b spread into eight 64-bit lanes: lane j holds bit j of b.
-_LANES = tuple(sum(1 << 64 * j for j in range(8) if b >> j & 1) for b in range(256))
-_LANE = (1 << 64) - 1
+# Gathered verdict byte b -> the heavy columns among 1..8 (bit j is column j+1).
+_HEAVY = tuple(frozenset(j + 1 for j in range(8) if b >> j & 1) for b in range(256))
+_SPREAD = {}  # w -> byte b spread into eight w-bit lanes, lane j bit j of b (a list maps faster)
+
+
+@lru_cache(maxsize=64)
+def _kernel(m: int):
+    """For m rows: the spread lookup, lane bias, top bits, gathering multiplier and shift."""
+    w = 8
+    while m >> w:
+        w += 8
+    if w not in _SPREAD:
+        _SPREAD[w] = [sum(1 << w * j for j in range(8) if b >> j & 1) for b in range(256)]
+    ones, gather = _SPREAD[w][255], sum(1 << (w - 1) * j for j in range(8))
+    return _SPREAD[w].__getitem__, ((1 << w - 1) - (m + 1) // 2) * ones, ones << w - 1, gather, 8 * w - 8
 
 
 def heavy_columns(matrix: BinaryMatrix) -> set[int]:
-    """All heavy column indices, by direct counting: for each run of eight
-    columns, every row's byte there is spread into 64-bit lanes and one sum
-    of the spread rows holds all eight column counts."""
-    m, n = matrix.m, matrix.n
-    rows = matrix.rows
-    heavy = set()
-    for base in range(0, n, 8):
-        if base:
+    """All heavy column indices, counted eight columns a word.  Lanes are w
+    bits, w the bit length of m rounded up to a byte (m < 2^w).  Row bytes
+    spread into the lanes sum from a bias of 2^(w-1) - ceil(m/2) per lane, so
+    a top bit is set exactly when its column is heavy and no lane carries (a
+    count less ceil(m/2) is at most floor(m/2) < 2^(w-1)).  One multiply gathers the
+    top bits into a byte (for w >= 8 its 64 partial products fall on distinct bits),
+    and a table names the columns.  Nothing is shared with the recursion."""
+    rows, n = matrix.rows, matrix.n
+    spread, bias, top, gather, shift = _kernel(len(rows))
+    lanes = sum(map(spread, rows if n <= 8 else map((255).__and__, rows)), bias)
+    heavy = set(_HEAVY[(lanes & top) * gather >> shift & 255])
+    if n > 8:
+        for base in range(8, n, 8):
             rows = tuple(map((8).__rrshift__, rows))
-        low = rows if n - base <= 8 else map((255).__and__, rows)
-        lanes = sum(map(_LANES.__getitem__, low))
-        for j in range(min(8, n - base)):
-            if 2 * (lanes >> 64 * j & _LANE) >= m:
-                heavy.add(base + j + 1)
+            lanes = sum(map(spread, rows if n - base <= 8 else map((255).__and__, rows)), bias)
+            heavy.update(map(base.__add__, _HEAVY[(lanes & top) * gather >> shift & 255]))
     return heavy
 
 

@@ -211,7 +211,8 @@ def test_parse_matrix_fuzz_raises_only_matrix_errors(text):
 
 
 def _heavy_by_weight(m):
-    return {k for k in range(1, m.n + 1) if 2 * column_weight(m, k) >= m.m}
+    # the reference counts each column with its own loop, not the library's
+    return {k + 1 for k in range(m.n) if 2 * sum(r >> k & 1 for r in m.rows) >= m.m}
 
 
 def test_heavy_columns_counts_as_column_weight_on_u4():
@@ -234,3 +235,37 @@ def test_heavy_columns_counts_as_column_weight_when_wide_and_tall():
         )
         matrix = BinaryMatrix(rows, n)
         assert heavy_columns(matrix) == _heavy_by_weight(matrix), (n, m)
+
+
+@pytest.mark.parametrize(
+    "shapes",
+    [
+        [(m, n) for m in (1, 2, 127, 128, 255, 256, 257) for n in (1, 7, 8, 9, 16, 17, 63)],
+        [(m, n) for m in (65_535, 65_536) for n in (1, 2, 9)],
+    ],
+    ids=["byte-lanes", "two-byte-lanes"],
+)
+def test_heavy_columns_at_lane_boundaries(shapes):
+    # the lane width steps from one byte to two at m = 256 and from two to
+    # three at m = 65,536; every shape gets all-zero, all-one, alternating
+    # (exact ties at even m, ceil and floor of m/2 at odd m) and seeded-random
+    # columns, each kind alone and the four mixed by column
+    rng = random.Random(19)
+    for m, n in shapes:
+        full = (1 << n) - 1
+        # row i of the alternating columns: a one in each column k with k + i even
+        alternate = tuple(sum(1 << k for k in range(i, n, 2)) for i in (0, 1))
+        # mixed: column k (from 0) is all-zero, all-one, alternating, random by k % 4
+        _, one, alt, rand = (sum(1 << k for k in range(j, n, 4)) for j in range(4))
+        matrices = {
+            "zeros": (0,) * m,
+            "ones": (full,) * m,
+            "alternating": tuple(alternate[i & 1] for i in range(m)),
+            "random": tuple(rng.getrandbits(n) for _ in range(m)),
+            "mixed": tuple(
+                one | alternate[i & 1] & alt | rng.getrandbits(n) & rand for i in range(m)
+            ),
+        }
+        for kind, rows in matrices.items():
+            matrix = BinaryMatrix(rows, n)
+            assert heavy_columns(matrix) == _heavy_by_weight(matrix), (m, n, kind)

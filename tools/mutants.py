@@ -40,6 +40,7 @@ class Mutant:
 ALGOS = "tests/test_algorithms.py"
 CLI = "tests/test_cli.py"
 FAST = "tests/test_fastpath.py"
+MATRIX = "tests/test_matrix.py"
 PROF = "tests/test_profiling.py"
 VERIFY = "tests/test_verification.py"
 
@@ -189,6 +190,18 @@ MUTANTS = [
         '"remark": ("remark_counterexamples", (*_SCAN, "--n")),',
         (f"{CLI}::test_flag_the_target_does_not_read_is_usage_error[verify remark --n 99]",
          f"{CLI}::test_help_exits_0_and_names_only_the_targets_flags"),
+    ),
+    Mutant(
+        # the lanes start from 2^(w-1) - floor(m/2): an odd m's floor(m/2) ones read as heavy
+        "oracle-bias-floor", "matrix.py",
+        "((1 << w - 1) - (m + 1) // 2)", "((1 << w - 1) - m // 2)",
+        (f"{MATRIX}::test_heavy_columns_at_lane_boundaries[byte-lanes]",),
+    ),
+    Mutant(
+        # lanes sized for m <= 2^w: one byte at m = 256, where an all-one column carries out
+        "oracle-lane-byte-short", "matrix.py",
+        "while m >> w:", "while m > 1 << w:",
+        (f"{MATRIX}::test_heavy_columns_at_lane_boundaries[byte-lanes]",),
     ),
     Mutant(
         "parser-error-not-overridden", "cli.py",
