@@ -38,6 +38,7 @@ from .matrix import (
 )
 from .structure import conjugate_of, find_unpaired, sequential_reduction
 from .profiling import (
+    DEFAULT_BUDGET_NS,
     MissingBaseline,
     load_baseline,
     profile_family,
@@ -83,7 +84,7 @@ _FLAGS = {
     "--n-min": dict(type=int, default=1),
     "--n-max": dict(type=int, default=5),
     "--algo": dict(choices=["a1", "a2", "both"], default="both"),
-    "--budget-ms": dict(type=int, default=2000,
+    "--budget-ms": dict(type=int, default=DEFAULT_BUDGET_NS // 1_000_000,
                         help="per-run wall-clock budget in ms, positive; bench marks a run "
                              "that exceeds it, check exits 2"),
     "--store": dict(default=None, help="baseline/specimen directory"),

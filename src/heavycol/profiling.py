@@ -171,11 +171,12 @@ def profile_family(
     if not ns:
         raise ValueError(f"empty column-count range {n_range!r}")
     label = family_label(family)
-    rows = []
+    cap = FULL_CUBE_MAX_N if family == "full_cube" else OTHER_MAX_N
     for n in ns:
-        cap = FULL_CUBE_MAX_N if family == "full_cube" else OTHER_MAX_N
         if not 1 <= n <= cap:
             raise ValueError(f"n={n} outside 1..{cap} for family {label}")
+    rows = []
+    for n in ns:
         for algo in algos:
             matrix = _family_matrix(family, n, algo, store)
             for variant, memoize in (("plain", False), ("memoized", True)):

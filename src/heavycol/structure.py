@@ -5,8 +5,9 @@ then delete column k.  Branch sets bundle the (at most two) non-empty
 reductions of a column.  Two rows are conjugate with respect to column k when
 they differ exactly there; a row with a 0 entry and no conjugate is unpaired,
 and filtering every other column by such a row's own values provably strands
-an all-zero single-column matrix.  That path is what `sequential_reduction`
-records step by step.
+an all-zero single-column matrix.  `sequential_reduction` records that path
+as a filter over original row indices, one column per step, and reads the
+terminal column off the rows that survive.
 
 All indices in this module are 1-based and refer to the ORIGINAL matrix, so
 traces stay checkable against the input.
@@ -104,11 +105,11 @@ def conjugate_of(matrix: BinaryMatrix, i: int, k: int) -> int | None:
     smallest index is returned.
     """
     _check_row_col(matrix, i, k)
-    target = matrix.rows[i - 1] ^ (1 << (k - 1))
-    for j, r in enumerate(matrix.rows, start=1):
-        if j != i and r == target:
-            return j
-    return None
+    # the target differs from row i at column k, so it is never row i itself
+    try:
+        return matrix.rows.index(matrix.rows[i - 1] ^ (1 << (k - 1))) + 1
+    except ValueError:
+        return None
 
 
 def find_unpaired(matrix: BinaryMatrix) -> tuple[int, int] | None:
@@ -154,27 +155,18 @@ def sequential_reduction(
             raise BadOrder(f"order must permute {non_l}, got {list(order)}")
 
     source = matrix.rows[i - 1]
-    survivors = list(range(1, matrix.m + 1))
-    remaining = list(range(1, matrix.n + 1))
-    current = matrix
+    survivors = range(1, matrix.m + 1)
     steps: list[tuple[int, int, int]] = []
     for k in order:
         b = (source >> (k - 1)) & 1
         survivors = [j for j in survivors if (matrix.rows[j - 1] >> (k - 1)) & 1 == b]
-        position = remaining.index(k) + 1
-        reduced = reduce(current, position, b)
-        assert reduced is not None  # row i always matches its own value
-        current = reduced
-        remaining.remove(k)
         steps.append((k, b, len(survivors)))
 
     shift = l - 1
-    assert current.rows == tuple((matrix.rows[j - 1] >> shift) & 1 for j in survivors)
-    assert set(survivors) == consistent_rows(matrix, i, l)
     return ReductionTrace(
         preserved_column=l,
         source_row_index=i,
         steps=tuple(steps),
-        terminal=current,
+        terminal=BinaryMatrix(tuple((matrix.rows[j - 1] >> shift) & 1 for j in survivors), 1),
         survivors=tuple(survivors),
     )

@@ -280,13 +280,11 @@ def _inspect_claim(matrix: BinaryMatrix):
     if pair is None:
         return ("no_heavy", "violations"), ((matrix, "unpaired_missing"),)
     i, l = pair
-    orders = [None, _shuffled_reduction_order(matrix, l)]
-    bad = False
-    for order in orders:
-        trace = sequential_reduction(matrix, i, l, order=order)
-        if any(trace.terminal.rows):
-            bad = True
-    if bad:
+    traces = (
+        sequential_reduction(matrix, i, l),
+        sequential_reduction(matrix, i, l, order=_shuffled_reduction_order(matrix, l)),
+    )
+    if any(any(t.terminal.rows) for t in traces):
         return ("no_heavy", "unpaired_found", "violations"), ((matrix, "nonzero_terminal"),)
     return ("no_heavy", "unpaired_found"), ()
 

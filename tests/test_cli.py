@@ -391,6 +391,20 @@ def test_bench_store_checked_before_work(monkeypatch, capsys):
         assert err.count("\n") == 1 and message in err
 
 
+def test_bench_range_checked_before_work(monkeypatch, capsys):
+    # n=11 used to surface only after the rows for n=1..10 were measured
+    def no_work(*args, **kwargs):
+        raise AssertionError("a row was measured before the range check")
+
+    monkeypatch.setattr("heavycol.profiling._measure", no_work)
+    code, out, err = run_cli(
+        ["bench", "growth", "--family", "full_cube", "--n-min", "1", "--n-max", "11"],
+        None, monkeypatch, capsys,
+    )
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "n=11 outside 1..10" in err
+
+
 @pytest.mark.parametrize("args, stdin, message", [
     (["verify", "theorem1", "--n", "2", "--mode", "random:5"], None, "bad --mode 'random:5'"),
     (["explore", "converse", "--n", "2", "--mode", "random:x:1"], None, "bad --mode 'random:x:1'"),

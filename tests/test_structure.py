@@ -4,10 +4,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from heavycol import (
+    UniverseSpec,
     branch_set,
     conjugate_of,
     consistent_rows,
+    enumerate_universe,
     find_unpaired,
+    heavy_columns,
     parse_matrix,
     reduce,
     sequential_reduction,
@@ -91,6 +94,47 @@ def test_sequential_reduction_bad_order():
         sequential_reduction(parse_matrix("0"), 1, 1, order=(1,))
     with pytest.raises(IndexOutOfRange):
         sequential_reduction(m, 9, 1)
+
+
+def _reduction_chain(matrix, i, order):
+    """The reference trace: one literal row-filter/column-delete per step,
+    through `reduce`, tracking where each original column now sits."""
+    source = matrix.rows[i - 1]
+    remaining = list(range(1, matrix.n + 1))
+    current = matrix
+    counts = []
+    for k in order:
+        current = reduce(current, remaining.index(k) + 1, (source >> (k - 1)) & 1)
+        remaining.remove(k)
+        counts.append(current.m)
+    return current, counts
+
+
+def _check_against_chain(matrix, i, l, order=None):
+    t = sequential_reduction(matrix, i, l, order=order)
+    ascending = [k for k in range(1, matrix.n + 1) if k != l]
+    chain, counts = _reduction_chain(matrix, i, ascending if order is None else order)
+    assert t.terminal == chain
+    assert [left for _, _, left in t.steps] == counts
+    assert set(t.survivors) == consistent_rows(matrix, i, l)
+
+
+def test_sequential_reduction_matches_reduce_chain():
+    # every anchor of U(1..3) in ascending and in shuffled order, then the
+    # no-heavy U(4) matrices at the anchor the claim scan reduces from
+    rng = random.Random(20)
+    for n in (1, 2, 3):
+        for matrix in enumerate_universe(UniverseSpec(n=n)):
+            for i in range(1, matrix.m + 1):
+                for l in range(1, n + 1):
+                    _check_against_chain(matrix, i, l)
+                    order = [k for k in range(1, n + 1) if k != l]
+                    rng.shuffle(order)
+                    _check_against_chain(matrix, i, l, order)
+    no_heavy = [m for m in enumerate_universe(UniverseSpec(n=4)) if not heavy_columns(m)]
+    assert len(no_heavy) == 2304
+    for matrix in no_heavy:
+        _check_against_chain(matrix, *find_unpaired(matrix))
 
 
 @given(matrices())

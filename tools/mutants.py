@@ -42,6 +42,7 @@ CLI = "tests/test_cli.py"
 FAST = "tests/test_fastpath.py"
 MATRIX = "tests/test_matrix.py"
 PROF = "tests/test_profiling.py"
+STRUCT = "tests/test_structure.py"
 VERIFY = "tests/test_verification.py"
 
 MUTANTS = [
@@ -202,6 +203,23 @@ MUTANTS = [
         "oracle-lane-byte-short", "matrix.py",
         "while m >> w:", "while m > 1 << w:",
         (f"{MATRIX}::test_heavy_columns_at_lane_boundaries[byte-lanes]",),
+    ),
+    Mutant(
+        # the terminal reads the column after the preserved one
+        "terminal-column-off-by-one", "structure.py",
+        "shift = l - 1", "shift = l",
+        (f"{STRUCT}::test_sequential_reduction_matches_reduce_chain",),
+    ),
+    Mutant(
+        "survivors-keep-other-value", "structure.py",
+        "(matrix.rows[j - 1] >> (k - 1)) & 1 == b]", "(matrix.rows[j - 1] >> (k - 1)) & 1 != b]",
+        (f"{STRUCT}::test_sequential_reduction_matches_reduce_chain",),
+    ),
+    Mutant(
+        # only the first n is range-checked up front; a later one reaches the work
+        "range-checked-at-first-n-only", "profiling.py",
+        "    for n in ns:\n        if not 1 <= n <= cap:", "    for n in ns[:1]:\n        if not 1 <= n <= cap:",
+        (f"{CLI}::test_bench_range_checked_before_work",),
     ),
     Mutant(
         "parser-error-not-overridden", "cli.py",
