@@ -107,14 +107,17 @@ plain run's children all go through ``_certify``, a memoized run's through
 ``_memoized``.
 
 Memoized runs produce identical verdict values.  The cache is private to one
-run, whose algorithm and column order are fixed, and keyed on (n, projected
-rows): the sorted multiset of the frame's rows projected onto its columns,
-not the mask, which is sound because verdicts are row-permutation invariant.
-The root is not keyed, since no other frame has its width.  The width fixes
-the depth (root n minus n), so the frame that stored a key has already
-raised ``max_depth`` to the depth of every frame that hits it, and a hit is
-one call plus one cache hit at that depth and nothing else: it runs no
-frame, so it does not read the budget clock, which its parent has just read.
+run, whose algorithm and column order are fixed, and keyed on the frame
+itself, each remaining column's bits at the frame's rows in root order: equal
+keys are equal row multisets, and verdicts are row-permutation invariant.  A
+memoized root's rows are sorted, so every repeated frame hits: a frame's rows
+agree on each deleted column, and deleting bits on which two integers agree
+keeps their order, so its rows in root order are its projected rows sorted.
+The root is not keyed: no other frame has its width.  The width fixes the
+depth (root n minus n), so the frame that stored a key has already raised
+``max_depth`` to the depth of every frame that hits it, and a hit is one call
+plus one cache hit at that depth and nothing else: it runs no frame, so it
+skips the budget clock, which its parent has just read.
 """
 
 from __future__ import annotations
@@ -279,16 +282,11 @@ def _heavy(mask: int, count: int, cols) -> bool:
     return False
 
 
-def _memo_rows(mask: int, cols) -> tuple[int, ...]:
-    """The frame's rows projected onto its columns, sorted: equal for frames
-    that different reduction paths reach with the same row multiset.  Reads
-    each pattern's bits off its binary string, so the cost is O(m*n)."""
-    rows = [0] * mask.bit_length()
-    for j, c in enumerate(cols):
-        for i, bit in enumerate(bin(mask & c)[:1:-1]):
-            if bit == "1":
-                rows[i] |= 1 << j
-    return tuple(sorted(compress(rows, map(int, bin(mask)[:1:-1]))))
+def _memo_key(mask: int, cols) -> tuple[str, ...]:
+    """Each column's bits at the frame's rows, in root order: the frame itself.
+    ``keep`` is the mask's digits as bytes, its "0"s made NUL so they select none."""
+    width, keep = f"0{mask.bit_length()}b", format(mask, "b").encode().replace(b"0", b"\0")
+    return tuple(["".join(compress(format(mask & c, width), keep)) for c in cols])
 
 
 def _certify(mask: int, cols: tuple, depth: int, ctx: _Run) -> bool:
@@ -359,12 +357,13 @@ def _tabled(mask: int, cols: tuple, depth: int, ctx: _Run) -> bool:
 
 
 def _memoized(mask: int, cols: tuple, depth: int, ctx: _Run) -> bool:
-    """A non-root frame of a memoized run, keyed on its width and projected
-    rows: a miss runs ``_certify`` and stores its verdict; a hit is one call
-    and one cache hit.  The width fixes the depth, so the frame that stored
-    the key has already raised ``max_depth`` to this one, and the parent has
-    just read the budget clock."""
-    key = (len(cols), _memo_rows(mask, cols))
+    """A non-root frame of a memoized run, keyed on its rows read column by
+    column: equal keys always mean equal rows, and the sorted root makes every
+    repeated frame hit.  A miss runs ``_certify`` and stores its verdict; a
+    hit is one call and one cache hit.  The width fixes the depth, so the
+    key's first frame has already raised ``max_depth`` to this one, and the
+    parent has just read the budget clock."""
+    key = _memo_key(mask, cols)
     value = ctx.table.get(key)
     if value is None:
         value = ctx.table[key] = _certify(mask, cols, depth, ctx)
@@ -413,11 +412,11 @@ def _run(
         cols = VALUE_COLUMNS[n]
     else:
         # a memoized run's cache is private to it, and its root is not keyed:
-        # no other frame has the root's width
+        # no other frame has the root's width; sorted rows make repeats hit
         orders = _orders(order, n)
         table, recurse = ({}, _MEMOIZE_ALL) if memoize else (None, _CERTIFY_ALL)
         mask = (1 << m) - 1
-        cols = column_patterns(rows, n)
+        cols = column_patterns(sorted(rows) if memoize else rows, n)
     # the budget counts from `started`, so the root build spends it too, and
     # it is checked here once, since a root that ends at a base case runs no frame
     deadline = None if budget_ns is None else started + budget_ns

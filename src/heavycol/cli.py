@@ -36,7 +36,7 @@ from .matrix import (
     matrix_to_text,
     parse_matrix,
 )
-from .structure import conjugate_of, find_unpaired, sequential_reduction
+from .structure import find_unpaired, sequential_reduction
 from .profiling import (
     DEFAULT_BUDGET_NS,
     MissingBaseline,
@@ -289,8 +289,8 @@ def _cmd_analyze(args) -> int:
         return 0
     props = matrix_properties(matrix)
     print(f"matrix: {matrix.m} x {matrix.n}")
-    for i, r in enumerate(matrix.rows, start=1):
-        print(f"  row {i}: {matrix_to_text(BinaryMatrix((r,), matrix.n))}")
+    for i, text in enumerate(matrix_to_text(matrix).splitlines(), start=1):
+        print(f"  row {i}: {text}")
     print(
         f"properties: distinct_rows={props.distinct_rows} "
         f"distinct_columns={props.distinct_columns} "
@@ -300,11 +300,15 @@ def _cmd_analyze(args) -> int:
     heavy = sorted(heavy_columns(matrix))
     print(f"heavy columns: {', '.join(map(str, heavy)) if heavy else '(none)'}")
     print("zero entries (row, column -> conjugate row):")
+    # each row's first index, so the smallest wins on repeats, as in conjugate_of
+    first = {}
+    for i, r in enumerate(matrix.rows, start=1):
+        first.setdefault(r, i)
     for k in range(1, matrix.n + 1):
-        for i in range(1, matrix.m + 1):
-            if matrix.entry(i, k) == 0:
-                j = conjugate_of(matrix, i, k)
-                print(f"  ({i}, {k}) -> {j if j is not None else 'unpaired'}")
+        bit = 1 << (k - 1)
+        for i, r in enumerate(matrix.rows, start=1):
+            if not r & bit:
+                print(f"  ({i}, {k}) -> {first.get(r ^ bit, 'unpaired')}")
     pair = find_unpaired(matrix)
     if pair is None:
         print("unpaired witness: none (every zero entry is paired)")

@@ -8,7 +8,7 @@ context but never asserted.
 Families:
   * full_cube     - all 2^n rows; the classic blow-up case for plain runs.
   * random_half   - a seeded half-of-the-cube sample per n.
-  * worst_found   - the highest-call-count matrix of each small exhaustive
+  * worst_found   - the highest-call-count matrix of each exhaustive (n <= 4)
                     universe, harvested once and persisted to the store.
 
 A run that outlives its wall-clock budget is marked (empty metrics) and the
@@ -25,7 +25,7 @@ from pathlib import Path
 
 from .algorithms import BudgetExceeded, run_a1, run_a2, run_memoized
 from .matrix import BinaryMatrix, matrix_to_text, parse_matrix
-from .verification import UniverseSpec, enumerate_universe
+from .verification import EXHAUSTIVE_MAX_N, UniverseSpec, enumerate_universe
 
 DEFAULT_BUDGET_NS = 2_000_000_000
 
@@ -171,7 +171,8 @@ def profile_family(
     if not ns:
         raise ValueError(f"empty column-count range {n_range!r}")
     label = family_label(family)
-    cap = FULL_CUBE_MAX_N if family == "full_cube" else OTHER_MAX_N
+    # worst_found specimens come from exhaustive scans, which stop at n = 4
+    cap = {"full_cube": FULL_CUBE_MAX_N, "worst_found": EXHAUSTIVE_MAX_N}.get(family, OTHER_MAX_N)
     for n in ns:
         if not 1 <= n <= cap:
             raise ValueError(f"n={n} outside 1..{cap} for family {label}")

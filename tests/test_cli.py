@@ -405,6 +405,23 @@ def test_bench_range_checked_before_work(monkeypatch, capsys):
     assert err.count("\n") == 1 and "n=11 outside 1..10" in err
 
 
+def test_bench_worst_found_range_checked_before_work(tmp_path, monkeypatch, capsys):
+    # specimens come from exhaustive scans, which stop at n=4; n=5 used to
+    # surface only after n=1..4 were harvested, measured and stored
+    def no_work(*args, **kwargs):
+        raise AssertionError("a row was measured before the range check")
+
+    monkeypatch.setattr("heavycol.profiling._measure", no_work)
+    code, out, err = run_cli(
+        ["bench", "growth", "--family", "worst_found", "--n-min", "1", "--n-max", "5",
+         "--store", str(tmp_path)],
+        None, monkeypatch, capsys,
+    )
+    assert (code, out) == (2, "")
+    assert err == "ValueError: n=5 outside 1..4 for family worst_found\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("args, stdin, message", [
     (["verify", "theorem1", "--n", "2", "--mode", "random:5"], None, "bad --mode 'random:5'"),
     (["explore", "converse", "--n", "2", "--mode", "random:x:1"], None, "bad --mode 'random:x:1'"),
@@ -683,3 +700,90 @@ def test_bench_compare_bytes_are_golden(tmp_path, monkeypatch, capsys):
     path.write_text("\n".join([header, *rows]) + "\n")
     code, out, _ = run_cli(["bench", "compare", "--json", *base], None, monkeypatch, capsys)
     assert (code, _masked(out)) == (1, GOLDEN_COMPARE)
+
+
+# The exact text of plain `analyze` and `analyze --trace`, on the 5x4
+# counterexample and on a matrix with repeated rows: row 1's column-1 target
+# 100 is rows 2 and 4, and the smallest index is the conjugate.
+_CEX_ANALYZE = (
+    "matrix: 5 x 4\n"
+    "  row 1: 0000\n"
+    "  row 2: 1010\n"
+    "  row 3: 0110\n"
+    "  row 4: 1001\n"
+    "  row 5: 0101\n"
+    "properties: distinct_rows=True distinct_columns=True all_zero_column=False\n"
+    "column weights: [2, 2, 2, 2]\n"
+    "heavy columns: (none)\n"
+    "zero entries (row, column -> conjugate row):\n"
+    "  (1, 1) -> unpaired\n"
+    "  (3, 1) -> unpaired\n"
+    "  (5, 1) -> unpaired\n"
+    "  (1, 2) -> unpaired\n"
+    "  (2, 2) -> unpaired\n"
+    "  (4, 2) -> unpaired\n"
+    "  (1, 3) -> unpaired\n"
+    "  (4, 3) -> unpaired\n"
+    "  (5, 3) -> unpaired\n"
+    "  (1, 4) -> unpaired\n"
+    "  (2, 4) -> unpaired\n"
+    "  (3, 4) -> unpaired\n"
+    "unpaired witness: row 1, column 1\n"
+)
+
+_REPEATED_MATRIX = "000\n100\n110\n100\n011\n000\n"
+
+_REPEATED_ANALYZE = (
+    "matrix: 6 x 3\n"
+    "  row 1: 000\n"
+    "  row 2: 100\n"
+    "  row 3: 110\n"
+    "  row 4: 100\n"
+    "  row 5: 011\n"
+    "  row 6: 000\n"
+    "properties: distinct_rows=False distinct_columns=True all_zero_column=False\n"
+    "column weights: [3, 2, 1]\n"
+    "heavy columns: 1\n"
+    "zero entries (row, column -> conjugate row):\n"
+    "  (1, 1) -> 2\n"
+    "  (5, 1) -> unpaired\n"
+    "  (6, 1) -> 2\n"
+    "  (1, 2) -> unpaired\n"
+    "  (2, 2) -> 3\n"
+    "  (4, 2) -> 3\n"
+    "  (6, 2) -> unpaired\n"
+    "  (1, 3) -> unpaired\n"
+    "  (2, 3) -> unpaired\n"
+    "  (3, 3) -> unpaired\n"
+    "  (4, 3) -> unpaired\n"
+    "  (6, 3) -> unpaired\n"
+    "unpaired witness: row 5, column 1\n"
+)
+
+GOLDEN_ANALYZE = [
+    ([], GOLDEN_MATRIX, _CEX_ANALYZE),
+    (["--trace"], GOLDEN_MATRIX, _CEX_ANALYZE + (
+        "sequential reduction at row 1, preserving column 1:\n"
+        "  step  column  value  survivors\n"
+        "     1       2      0          3\n"
+        "     2       3      0          2\n"
+        "     3       4      0          1\n"
+        "  terminal column (rows [1]): [0]\n"
+    )),
+    ([], _REPEATED_MATRIX, _REPEATED_ANALYZE),
+    (["--trace"], _REPEATED_MATRIX, _REPEATED_ANALYZE + (
+        "sequential reduction at row 5, preserving column 1:\n"
+        "  step  column  value  survivors\n"
+        "     1       2      1          2\n"
+        "     2       3      1          1\n"
+        "  terminal column (rows [5]): [0]\n"
+    )),
+]
+
+
+@pytest.mark.parametrize(
+    "flags, stdin, expected", GOLDEN_ANALYZE,
+    ids=["counterexample", "counterexample --trace", "repeated", "repeated --trace"],
+)
+def test_analyze_text_is_golden(flags, stdin, expected, monkeypatch, capsys):
+    assert run_cli(["analyze", *flags, "-"], stdin, monkeypatch, capsys)[:2] == (0, expected)

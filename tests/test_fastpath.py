@@ -389,6 +389,32 @@ def test_duplicate_rows_and_row_order():
     assert wide and _mismatches(wide, explicit) == []
 
 
+
+def test_memoized_runs_on_unsorted_roots_with_many_hits():
+    # The memo key reads a frame's rows in root order, which is the sorted
+    # projected order only because a memoized run sorts its root.  Nearly all
+    # other roots here are sorted already, or their repeated frames have one
+    # row, so shuffled cubes and half cubes (and a 6-cube with one row
+    # repeated) check that every repeated frame still hits.
+    roots = [BinaryMatrix(tuple(range(2**n)), n) for n in range(3, 7)]
+    roots += [
+        BinaryMatrix(tuple(random.Random(f"1:{n}").sample(range(2**n), 2 ** (n - 1))), n)
+        for n in range(8, 11)
+    ]
+    matrices = []
+    for seed, matrix in enumerate(roots):
+        for rng in (random.Random(2 * seed), random.Random(2 * seed + 1)):
+            rows = list(matrix.rows)
+            rng.shuffle(rows)
+            matrices.append(BinaryMatrix(tuple(rows), matrix.n))
+    rows = list(range(64)) + [37]
+    random.Random(5).shuffle(rows)
+    matrices.append(BinaryMatrix(tuple(rows), 6))
+    assert all(list(m.rows) != sorted(m.rows) for m in matrices)
+    assert _mismatches(matrices, PLAIN_AND_MEMO) == []
+    hits = [_fast("a1", m, memoize=True)[6] for m in matrices]
+    assert hits[2:8] == [12, 12, 21, 21, 32, 32] and hits[-1] > 0
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_a1_every_explicit_order(n):
     universe = list(enumerate_universe(UniverseSpec(n=n)))

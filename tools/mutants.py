@@ -62,9 +62,18 @@ MUTANTS = [
         (f"{ALGOS}::test_a1_full_cube_counts", f"{FAST}::test_all_of_small_universes[2]"),
     ),
     Mutant(
-        "memo-key-without-n", "algorithms.py",
-        "key = (len(cols), _memo_rows(mask, cols))", "key = _memo_rows(mask, cols)",
-        (f"{FAST}::test_duplicate_rows_and_row_order",),
+        # the memoized root keeps its input order, so repeated frames can key apart
+        "memo-root-unsorted", "algorithms.py",
+        "column_patterns(sorted(rows) if memoize else rows, n)", "column_patterns(rows, n)",
+        (f"{FAST}::test_duplicate_rows_and_row_order",
+         f"{FAST}::test_memoized_runs_on_unsorted_roots_with_many_hits"),
+    ),
+    Mutant(
+        # each column is read over every root position, so the key names root rows
+        "memo-key-uncompressed", "algorithms.py",
+        '"".join(compress(format(mask & c, width), keep))', "format(mask & c, width)",
+        (f"{FAST}::test_memo_key_is_the_projected_row_multiset",
+         f"{FAST}::test_full_cube_growth_follows_its_recurrences"),
     ),
     Mutant(
         "memo-hit-not-counted", "algorithms.py",
@@ -80,12 +89,6 @@ MUTANTS = [
         (f"{FAST}::test_memo_key_is_the_projected_row_multiset",
          f"{FAST}::test_full_cube_growth_follows_its_recurrences",
          f"{FAST}::test_all_of_small_universes[3]"),
-    ),
-    Mutant(
-        "unsorted-memo-rows", "algorithms.py",
-        "return tuple(sorted(compress(rows, map(int, bin(mask)[:1:-1]))))",
-        "return tuple(compress(rows, map(int, bin(mask)[:1:-1])))",
-        (f"{FAST}::test_duplicate_rows_and_row_order",),
     ),
     Mutant(
         # one frame function serves a1 and a2, so both visit 1 before 0
@@ -220,6 +223,18 @@ MUTANTS = [
         "range-checked-at-first-n-only", "profiling.py",
         "    for n in ns:\n        if not 1 <= n <= cap:", "    for n in ns[:1]:\n        if not 1 <= n <= cap:",
         (f"{CLI}::test_bench_range_checked_before_work",),
+    ),
+    Mutant(
+        # worst_found capped at 16 like random_half: n = 5 reaches the harvest
+        "worst-found-cap-16", "profiling.py",
+        '"worst_found": EXHAUSTIVE_MAX_N', '"worst_found": OTHER_MAX_N',
+        (f"{CLI}::test_bench_worst_found_range_checked_before_work",),
+    ),
+    Mutant(
+        # analyze's row index keeps the last of repeated rows, not the first
+        "analyze-last-occurrence", "cli.py",
+        "first.setdefault(r, i)", "first[r] = i",
+        (f"{CLI}::test_analyze_text_is_golden[repeated]",),
     ),
     Mutant(
         "parser-error-not-overridden", "cli.py",
