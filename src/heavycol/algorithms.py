@@ -48,9 +48,11 @@ a2, with the column loop fixed to ascending order:
 a2 is a1 plus two True exits, line 0 and the key condition at lines 13-14,
 with its loop fixed ascending; a1's other return sites 3, 5, 11, 15 and 18
 are a2's 5, 7, 21, 28 and 32.  One frame function, ``_certify``, runs both,
-and it is the listings alone: the two frame caches below, the sub-frame
-table and the memo cache, are wrappers that a run's plan puts between a
-frame and its children.
+and it is the listings alone.  A run's plan names the one function that every
+frame below its root goes through: ``_tabled`` (the sub-frame table) for a
+value-position run, ``_memoized`` (the memo cache) for a memoized run, and
+``_certify`` itself for any other.  Each cache wraps ``_certify`` and runs it
+on a miss.
 
 Verdicts carry a witness naming the return site above (tag plus line number
 and the triggering column where one exists) and recursion statistics.
@@ -94,17 +96,15 @@ entry is ``(value, calls, height)``: the verdict, the frames of the subtree
 and its depth below the frame.  A hit adds ``calls`` and raises ``max_depth``
 to depth + height; a miss runs the frame and stores its entry only once the
 subtree has finished, so a ``BudgetExceeded`` leaves no partial entry.  Wider
-frames below the root run ``_certify`` each time (tabling them too was
-measured no faster, and its table grows with the scan); which of the two a
-child goes through is fixed per width in the run's plan, so no frame tests
-its width.  A table's keys lie in the 3- and 2-column subcubes of its root,
-C(n,3) * 2^(n-3) subcubes of 8 values and C(n,2) * 2^(n-2) of 4, so it holds
-at most C(n,3) * 2^(n-3) * 255 + C(n,2) * 2^(n-2) * 15 entries: 2,400 at
-n = 4, 11,400 at n = 5, 44,400 at n = 6 and 152,880 at n = 7.  Memoized runs
-(whose ``cache_hits`` must not move), duplicate-row roots and roots wider
-than 7 columns never use a table and keep the row-position recursion: a
-plain run's children all go through ``_certify``, a memoized run's through
-``_memoized``.
+frames below the root, which only roots of 5 to 7 columns have, run
+``_certify`` each time: ``_tabled`` tests the width first and hands them
+straight on (tabling them too was measured no faster, and its table grows
+with the scan).  A table's keys lie in the 3- and 2-column subcubes of its
+root, C(n,3) * 2^(n-3) subcubes of 8 values and C(n,2) * 2^(n-2) of 4, so it
+holds at most C(n,3) * 2^(n-3) * 255 + C(n,2) * 2^(n-2) * 15 entries: 2,400
+at n = 4, 11,400 at n = 5, 44,400 at n = 6 and 152,880 at n = 7.  Memoized
+runs (whose ``cache_hits`` must not move), duplicate-row roots and roots
+wider than 7 columns never use a table and keep the row-position recursion.
 
 Memoized runs produce identical verdict values.  The cache is private to one
 run, whose algorithm and column order are fixed, and keyed on the frame
@@ -129,7 +129,7 @@ from functools import lru_cache
 from itertools import compress
 from typing import Union
 
-from .matrix import MAX_COLUMNS, VALUE_COLUMNS, BinaryMatrix, column_patterns
+from .matrix import VALUE_COLUMNS, BinaryMatrix, column_patterns
 
 # The recursion calls none of these.  They stay importable under this module
 # because the benchmark's traced pass (perfbench/layers.py) wraps them here.
@@ -264,9 +264,10 @@ class _Run:
     """Mutable per-run context: a1 or a2, statistics, the root's (tag, column)
     witness, budget deadline, and the run's plan: its column orders, its one
     frame cache (a value-position run's sub-frame table, a memoized run's
-    private memo cache, or None) and, at index n, the frame function that the
-    children of an n-column frame go through.  `_run` fills every slot itself:
-    an ``__init__`` call costs about a twentieth of a U(4) run."""
+    private memo cache, or None) and the one frame function that every frame
+    below the root goes through (``_tabled``, ``_memoized`` or ``_certify``).
+    `_run` fills every slot itself: an ``__init__`` call costs about a
+    twentieth of a U(4) run."""
 
     __slots__ = (
         "a2", "calls", "max_depth", "cache_hits", "orders", "deadline", "witness",
@@ -301,7 +302,7 @@ def _certify(mask: int, cols: tuple, depth: int, ctx: _Run) -> bool:
     count = mask.bit_count()
     n = len(cols)
     value, tag, col = True, EXHAUSTED_TRUE, None
-    recurse = ctx.recurse[n]
+    recurse = ctx.recurse
     for k in ctx.orders[n]:
         m1 = mask & cols[k - 1]
         m0 = mask ^ m1
@@ -336,9 +337,12 @@ def _certify(mask: int, cols: tuple, depth: int, ctx: _Run) -> bool:
 
 
 def _tabled(mask: int, cols: tuple, depth: int, ctx: _Run) -> bool:
-    """A non-root frame of a value-position run, served from the run's table:
-    a hit adds the subtree's frames and height as if it had run; a miss runs
-    ``_certify`` and stores the entry once the subtree has finished."""
+    """A non-root frame of a value-position run.  A frame of more than
+    _TABLE_MAX_N columns runs ``_certify``; a narrower one is served from the
+    run's table: a hit adds the subtree's frames and height as if it had run;
+    a miss runs ``_certify`` and stores the entry once the subtree has finished."""
+    if len(cols) > _TABLE_MAX_N:
+        return _certify(mask, cols, depth, ctx)
     key = (mask, cols)
     entry = ctx.table.get(key)
     if entry is None:
@@ -378,19 +382,12 @@ def _memoized(mask: int, cols: tuple, depth: int, ctx: _Run) -> bool:
 _VALUE_MAX_N = 7
 _TABLE_MAX_N = 3
 
-# A plain row-position run's children all go through `_certify`, and a
-# memoized run's through `_memoized`, whatever the width.
-_CERTIFY_ALL = (_certify,) * (MAX_COLUMNS + 1)
-_MEMOIZE_ALL = (_memoized,) * (MAX_COLUMNS + 1)
-
 
 @lru_cache(maxsize=64)
-def _value_plan(a2: bool, order: ColumnOrder, n: int) -> tuple[tuple, dict, tuple]:
-    """The column orders, the sub-frame table and the frame function for the
-    children of each width, shared by every value-position run of one
-    procedure, column order and width."""
-    recurse = tuple(_tabled if w - 1 <= _TABLE_MAX_N else _certify for w in range(n + 1))
-    return _orders(order, n), {}, recurse
+def _value_plan(a2: bool, order: ColumnOrder, n: int) -> tuple[tuple, dict]:
+    """The column orders and the sub-frame table shared by every
+    value-position run of one procedure, column order and width."""
+    return _orders(order, n), {}
 
 
 def _run(
@@ -408,13 +405,13 @@ def _run(
         for r in rows:
             mask |= 1 << r
     if mask.bit_count() == m:
-        orders, table, recurse = _value_plan(a2, order, n)
-        cols = VALUE_COLUMNS[n]
+        orders, table = _value_plan(a2, order, n)
+        recurse, cols = _tabled, VALUE_COLUMNS[n]
     else:
         # a memoized run's cache is private to it, and its root is not keyed:
         # no other frame has the root's width; sorted rows make repeats hit
         orders = _orders(order, n)
-        table, recurse = ({}, _MEMOIZE_ALL) if memoize else (None, _CERTIFY_ALL)
+        table, recurse = ({}, _memoized) if memoize else (None, _certify)
         mask = (1 << m) - 1
         cols = column_patterns(sorted(rows) if memoize else rows, n)
     # the budget counts from `started`, so the root build spends it too, and

@@ -87,7 +87,7 @@ _FLAGS = {
     "--budget-ms": dict(type=int, default=DEFAULT_BUDGET_NS // 1_000_000,
                         help="per-run wall-clock budget in ms, positive; bench marks a run "
                              "that exceeds it, check exits 2"),
-    "--store": dict(default=None, help="baseline/specimen directory"),
+    "--store": dict(default=None, help="baseline directory, read by compare and --save"),
     "--save": dict(action="store_true", help="store the table as the new baseline"),
     "--json": dict(action="store_true", help="emit one JSON document"),
 }
@@ -378,16 +378,11 @@ def _cmd_bench(args) -> int:
     store = Path(args.store) if args.store else None
     # every --store check runs before profile_family does the work
     if store is None:
-        if family == "worst_found" and args.n_max > 3:
-            raise ValueError("worst_found above n=3 needs --store to persist specimens")
         if args.action == "compare":
             raise ValueError("compare needs --store")
         if args.save:
             raise ValueError("--save needs --store")
-    table = profile_family(
-        family, n_range, algos=algos,
-        budget_ns=args.budget_ms * 1_000_000, store=store,
-    )
+    table = profile_family(family, n_range, algos=algos, budget_ns=args.budget_ms * 1_000_000)
     if args.action == "growth":
         if args.save:
             path = save_baseline(table, store, family, n_range, algos)

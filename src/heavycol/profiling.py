@@ -9,7 +9,7 @@ Families:
   * full_cube     - all 2^n rows; the classic blow-up case for plain runs.
   * random_half   - a seeded half-of-the-cube sample per n.
   * worst_found   - the highest-call-count matrix of each exhaustive (n <= 4)
-                    universe, harvested once and persisted to the store.
+                    universe, harvested on every run.
 
 A run that outlives its wall-clock budget is marked (empty metrics) and the
 table is still emitted.
@@ -24,7 +24,7 @@ from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 from .algorithms import BudgetExceeded, run_a1, run_a2, run_memoized
-from .matrix import BinaryMatrix, matrix_to_text, parse_matrix
+from .matrix import BinaryMatrix
 from .verification import EXHAUSTIVE_MAX_N, UniverseSpec, enumerate_universe
 
 DEFAULT_BUDGET_NS = 2_000_000_000
@@ -101,7 +101,7 @@ def family_label(family) -> str:
     return family
 
 
-def _family_matrix(family, n: int, algo: str, store: Path | None) -> BinaryMatrix:
+def _family_matrix(family, n: int, algo: str) -> BinaryMatrix:
     if family == "full_cube":
         return BinaryMatrix(tuple(range(2**n)), n)
     if isinstance(family, tuple) and family[0] == "random_half":
@@ -110,12 +110,13 @@ def _family_matrix(family, n: int, algo: str, store: Path | None) -> BinaryMatri
         rng = random.Random(f"{seed}:{n}")
         return BinaryMatrix(tuple(sorted(rng.sample(range(2**n), m))), n)
     if family == "worst_found":
-        return _worst_specimen(n, algo, store)
+        return harvest_worst(n, algo)
     raise ValueError(f"unknown family {family!r}")
 
 
 def harvest_worst(n: int, algo: str) -> BinaryMatrix:
-    """Exhaustively find the matrix with the highest plain call count."""
+    """Exhaustively find the matrix with the highest plain call count, the
+    first in rank order among equals."""
     run = run_a1 if algo == "a1" else run_a2
     best = None
     best_calls = -1
@@ -124,19 +125,6 @@ def harvest_worst(n: int, algo: str) -> BinaryMatrix:
         if calls > best_calls:
             best, best_calls = matrix, calls
     return best
-
-
-def _worst_specimen(n: int, algo: str, store: Path | None) -> BinaryMatrix:
-    if store is not None:
-        path = Path(store) / f"worst_{algo}_n{n}.txt"
-        if path.exists():
-            return parse_matrix(path.read_text())
-    matrix = harvest_worst(n, algo)
-    if store is not None:
-        path = Path(store) / f"worst_{algo}_n{n}.txt"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(matrix_to_text(matrix) + "\n")
-    return matrix
 
 
 def _measure(algo: str, matrix: BinaryMatrix, memoize: bool, budget_ns: int | None):
@@ -158,7 +146,6 @@ def profile_family(
     *,
     algos: tuple[str, ...] = ("a1", "a2"),
     budget_ns: int | None = DEFAULT_BUDGET_NS,
-    store: Path | None = None,
 ) -> GrowthTable:
     """Run plain and memoized variants over one family, one row per variant.
 
@@ -171,7 +158,7 @@ def profile_family(
     if not ns:
         raise ValueError(f"empty column-count range {n_range!r}")
     label = family_label(family)
-    # worst_found specimens come from exhaustive scans, which stop at n = 4
+    # worst_found matrices come from exhaustive scans, which stop at n = 4
     cap = {"full_cube": FULL_CUBE_MAX_N, "worst_found": EXHAUSTIVE_MAX_N}.get(family, OTHER_MAX_N)
     for n in ns:
         if not 1 <= n <= cap:
@@ -179,7 +166,7 @@ def profile_family(
     rows = []
     for n in ns:
         for algo in algos:
-            matrix = _family_matrix(family, n, algo, store)
+            matrix = _family_matrix(family, n, algo)
             for variant, memoize in (("plain", False), ("memoized", True)):
                 s = _measure(algo, matrix, memoize, budget_ns)
                 metrics = (None,) * 4 if s is None else (s.calls, s.cache_hits, s.max_depth, s.elapsed_ns)

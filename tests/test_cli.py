@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -406,7 +407,7 @@ def test_bench_range_checked_before_work(monkeypatch, capsys):
 
 
 def test_bench_worst_found_range_checked_before_work(tmp_path, monkeypatch, capsys):
-    # specimens come from exhaustive scans, which stop at n=4; n=5 used to
+    # worst_found matrices come from exhaustive scans, which stop at n=4; n=5 used to
     # surface only after n=1..4 were harvested, measured and stored
     def no_work(*args, **kwargs):
         raise AssertionError("a row was measured before the range check")
@@ -420,6 +421,53 @@ def test_bench_worst_found_range_checked_before_work(tmp_path, monkeypatch, caps
     assert (code, out) == (2, "")
     assert err == "ValueError: n=5 outside 1..4 for family worst_found\n"
     assert list(tmp_path.iterdir()) == []
+
+
+# `bench growth --family worst_found --n-min 1 --n-max 4`, elapsed_ns masked:
+# each procedure's worst U(n) matrix, harvested by that run
+GOLDEN_WORST_FOUND = (
+    "n,family,m,algo,variant,calls,cache_hits,max_depth,elapsed_ns\n"
+    "1,worst_found,1,a1,plain,1,0,0,0\n"
+    "1,worst_found,1,a1,memoized,1,0,0,0\n"
+    "1,worst_found,1,a2,plain,1,0,0,0\n"
+    "1,worst_found,1,a2,memoized,1,0,0,0\n"
+    "2,worst_found,3,a1,plain,5,0,1,0\n"
+    "2,worst_found,3,a1,memoized,5,0,1,0\n"
+    "2,worst_found,4,a2,plain,5,0,1,0\n"
+    "2,worst_found,4,a2,memoized,5,0,1,0\n"
+    "3,worst_found,7,a1,plain,31,0,2,0\n"
+    "3,worst_found,7,a1,memoized,15,4,2,0\n"
+    "3,worst_found,8,a2,plain,31,0,2,0\n"
+    "3,worst_found,8,a2,memoized,11,5,2,0\n"
+    "4,worst_found,15,a1,plain,249,0,3,0\n"
+    "4,worst_found,15,a1,memoized,29,16,3,0\n"
+    "4,worst_found,16,a2,plain,249,0,3,0\n"
+    "4,worst_found,16,a2,memoized,19,12,3,0\n"
+)
+
+
+def test_bench_worst_found_needs_no_store(monkeypatch, capsys):
+    # n=4 used to exit 2, asking for a --store to keep specimen files in
+    args = ["bench", "growth", "--family", "worst_found", "--n-min", "1", "--n-max", "4"]
+    code, out, err = run_cli(args, None, monkeypatch, capsys)
+    assert (code, _masked(out), err) == (0, GOLDEN_WORST_FOUND, "")
+
+
+def test_bench_store_holds_baselines_only(tmp_path, monkeypatch, capsys):
+    # a growth run without --save writes nothing to the store and reads
+    # nothing from it: a 3-column matrix filed as a1's n=2 specimen used to be
+    # measured and printed as the n=2 row
+    args = ["bench", "growth", "--family", "worst_found", "--n-min", "1", "--n-max", "3",
+            "--store", str(tmp_path)]
+    golden = "".join(GOLDEN_WORST_FOUND.splitlines(keepends=True)[:13])
+    code, out, _ = run_cli(args, None, monkeypatch, capsys)
+    assert (code, _masked(out)) == (0, golden)
+    assert list(tmp_path.iterdir()) == []
+    planted = tmp_path / "worst_a1_n2.txt"
+    planted.write_text("101\n011\n111\n")
+    code, out, _ = run_cli(args, None, monkeypatch, capsys)
+    assert (code, _masked(out)) == (0, golden)
+    assert list(tmp_path.iterdir()) == [planted]
 
 
 @pytest.mark.parametrize("args, stdin, message", [
@@ -787,3 +835,72 @@ GOLDEN_ANALYZE = [
 )
 def test_analyze_text_is_golden(flags, stdin, expected, monkeypatch, capsys):
     assert run_cli(["analyze", *flags, "-"], stdin, monkeypatch, capsys)[:2] == (0, expected)
+
+
+# The U(4) scans and the two seeded random scans, pinned as the CLI prints
+# them with --json: the exit code, each report's `tested` and full tallies
+# (so a failure names the tally that moved), then the SHA-256 of stdout.  The
+# two random scans and `verify all` must print the same bytes at 2 workers.
+# A change that moves these bytes on purpose updates the pins and says why.
+_U4_THEOREM1 = (65535, {
+    "a1_false": 65368, "a1_true": 167, "converse_gap_a1": 63064, "has_heavy": 63231,
+    "no_heavy": 2304, "no_heavy_and_a1_false": 2304, "violations": 0,
+})
+_U4_THEOREM2 = (63384, {
+    "a2_false": 47594, "a2_true": 15790, "converse_gap_a2": 45419, "has_heavy": 61206,
+    "key_condition_hits": 4785, "no_heavy": 2178, "no_heavy_and_a2_false": 2175, "violations": 3,
+})
+_U4_LEMMA1 = (65535, {"hypothesis_fails": 65368, "hypothesis_holds": 167, "violations": 0})
+_U4_CLAIM = (65535, {"has_heavy": 63231, "no_heavy": 2304, "unpaired_found": 2304, "violations": 0})
+_REMARK = (1, {"confirmed": 1, "violations": 0})
+
+U4_PINS = {
+    "verify all --n 4": (
+        1, [_U4_THEOREM1, _U4_THEOREM2, _U4_LEMMA1, _U4_CLAIM, _REMARK],
+        "8fed17384764dcb1faf8e1f6dd1cfd31ba0292cec6d4a0fd7c641b008095084e",
+    ),
+    "explore converse --n 4": (
+        0, [(65535, {
+            "a2_checked": 63384, "converse_gap_a1": 63064, "converse_gap_a2": 45419,
+            "has_heavy": 63231, "no_heavy": 2304, "violations": 0,
+        })],
+        "98a2ed34b157f1cabce83839f2cb194c0d86bbc2d11b5d88aacc854ef95507f7",
+    ),
+    "explore order-sensitivity --n 4 --m-max 5": (
+        0, [(6884, {
+            "a1_order_mismatch": 0, "a2_permutation_sensitive": 1204,
+            "a2_permutation_stable": 5680, "violations": 0,
+        })],
+        "32b31b3c1ab6091b4f201bd9a5ac687bac1dcdc81bfaa49005bf8d6c54383788",
+    ),
+    "verify theorem2 --n 5 --mode random:5000:1": (
+        0, [(5000, {
+            "a2_false": 4941, "a2_true": 59, "converse_gap_a2": 4876, "has_heavy": 4935,
+            "key_condition_hits": 2, "no_heavy": 65, "no_heavy_and_a2_false": 65, "violations": 0,
+        })],
+        "187b201e9627323eb35e3427ef366f9d2490ec8c7d3108dbd94942739716c833",
+    ),
+    "verify theorem1 --n 6 --mode random:5000:1": (
+        0, [(5000, {
+            "a1_false": 5000, "a1_true": 0, "converse_gap_a1": 4941, "has_heavy": 4941,
+            "no_heavy": 59, "no_heavy_and_a1_false": 59, "violations": 0,
+        })],
+        "b1af81a0c0a98b5002b4c709acadd9a725083aa4aba762e1b3403c40d0a24667",
+    ),
+}
+U4_PIN_RUNS = [(command, 1) for command in U4_PINS] + [
+    (command, 2) for command in U4_PINS if command.startswith("verify")
+]
+
+
+@pytest.mark.parametrize(
+    "command, workers", U4_PIN_RUNS, ids=[f"{c} --workers {w}" for c, w in U4_PIN_RUNS]
+)
+def test_u4_report_bytes_are_pinned(command, workers, monkeypatch, capsys):
+    code, reports, digest = U4_PINS[command]
+    got, out, _ = run_cli([*command.split(), "--workers", str(workers), "--json"],
+                          None, monkeypatch, capsys)
+    doc = json.loads(out)
+    assert got == code
+    assert [(r["tested"], r["tallies"]) for r in (doc if isinstance(doc, list) else [doc])] == reports
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

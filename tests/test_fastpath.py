@@ -315,7 +315,7 @@ def test_tables_hold_frames_of_at_most_3_columns():
     assert _value_plan.cache_info().currsize == len(plans)
     for a2, order, n in plans:
         table = _value_plan(a2, order, n)[1]
-        assert table and max(len(cols) for _, cols in table) <= 3
+        assert max(len(cols) for _, cols in table) == 3
         assert len(table) <= _table_bound(n)
     assert [_table_bound(n) for n in (5, 6, 7)] == [11_400, 44_400, 152_880]
 

@@ -2,7 +2,16 @@ import dataclasses
 
 import pytest
 
-from heavycol import BinaryMatrix, GrowthTable, profile_family, run_a1, run_a2, snapshot_compare
+from heavycol import (
+    BinaryMatrix,
+    GrowthTable,
+    UniverseSpec,
+    enumerate_universe,
+    profile_family,
+    run_a1,
+    run_a2,
+    snapshot_compare,
+)
 from heavycol.algorithms import BudgetExceeded
 from heavycol.profiling import (
     MissingBaseline,
@@ -91,7 +100,7 @@ def test_budget_counts_the_root_build():
     # the deadline used to start once the root's column patterns were built:
     # building them for these 32,768 rows alone outlasts 1 ms, and the 13
     # frames after it finished inside the budget, so the run returned normally
-    matrix = _family_matrix(("random_half", 1), 16, "a1", None)
+    matrix = _family_matrix(("random_half", 1), 16, "a1")
     with pytest.raises(BudgetExceeded):
         run_a1(matrix, budget_ns=1_000_000)
     table = profile_family(("random_half", 1), [16], algos=("a1",), budget_ns=1_000_000)
@@ -153,13 +162,22 @@ def test_baseline_store_roundtrip(cube_table, tmp_path):
     assert snapshot_compare(cube_table, loaded).clean
 
 
-def test_worst_found_family(tmp_path):
-    from heavycol import run_a1
-
-    table = profile_family("worst_found", [2], store=tmp_path)
-    specimen_calls = table.key_map()[("worst_found", 2, "a1", "plain")].calls
-    assert specimen_calls == run_a1(harvest_worst(2, "a1")).stats.calls
-    assert (tmp_path / "worst_a1_n2.txt").exists()
-    # second run loads the persisted specimen and reproduces the counts
-    again = profile_family("worst_found", [2], store=tmp_path)
-    assert again.key_map()[("worst_found", 2, "a1", "plain")].calls == specimen_calls
+def test_worst_found_family(tmp_path, monkeypatch):
+    # each row measures its procedure's harvested matrix, which is the first
+    # U(n) matrix in rank order with the most plain calls under that
+    # procedure; nothing is written, since no specimen file is kept
+    monkeypatch.chdir(tmp_path)
+    table = profile_family("worst_found", range(1, 4), budget_ns=None).key_map()
+    for n in range(1, 4):
+        universe = list(enumerate_universe(UniverseSpec(n=n)))
+        for algo, run in (("a1", run_a1), ("a2", run_a2)):
+            calls = [run(matrix).stats.calls for matrix in universe]
+            matrix = harvest_worst(n, algo)
+            assert matrix == universe[calls.index(max(calls))]
+            for variant, memoize in (("plain", False), ("memoized", True)):
+                want = run(matrix, memoize=memoize).stats
+                row = table[("worst_found", n, algo, variant)]
+                assert (row.m, row.calls, row.cache_hits, row.max_depth) == (
+                    matrix.m, want.calls, want.cache_hits, want.max_depth
+                )
+    assert list(tmp_path.iterdir()) == []

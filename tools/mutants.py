@@ -133,6 +133,12 @@ MUTANTS = [
         (f"{FAST}::test_tables_hold_frames_of_at_most_3_columns",),
     ),
     Mutant(
+        # 3-column frames run `_certify` each time: the table holds only 2-column ones
+        "table-width-off-by-one", "algorithms.py",
+        "if len(cols) > _TABLE_MAX_N:", "if len(cols) >= _TABLE_MAX_N:",
+        (f"{FAST}::test_tables_hold_frames_of_at_most_3_columns",),
+    ),
+    Mutant(
         # frames with the same value set but other columns share an entry
         "table-key-drops-cols", "algorithms.py",
         "key = (mask, cols)", "key = mask",
@@ -229,6 +235,12 @@ MUTANTS = [
         "worst-found-cap-16", "profiling.py",
         '"worst_found": EXHAUSTIVE_MAX_N', '"worst_found": OTHER_MAX_N',
         (f"{CLI}::test_bench_worst_found_range_checked_before_work",),
+    ),
+    Mutant(
+        # a2's worst_found matrix is the one with the most a1 calls
+        "worst-found-ignores-algo", "profiling.py",
+        'run = run_a1 if algo == "a1" else run_a2', "run = run_a1",
+        (f"{PROF}::test_worst_found_family",),
     ),
     Mutant(
         # analyze's row index keeps the last of repeated rows, not the first
