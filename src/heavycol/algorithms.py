@@ -55,10 +55,16 @@ value-position run, ``_memoized`` (the memo cache) for a memoized run, and
 on a miss.
 
 Verdicts carry a witness naming the return site above (tag plus line number
-and the triggering column where one exists) and recursion statistics.
-Witnesses are frozen, so one instance serves every run that returns at the
-same site: a run looks it up once, by (procedure, verdict, tag, column), in
-a cache that picks the line from the procedure's listing.
+and the triggering column where one exists) and recursion statistics (calls,
+max_depth, cache_hits), and no time: a verdict is determined by the
+procedure, the matrix and the column order, so two runs of one matrix give
+equal verdicts.  Verdicts are frozen and shared: a run looks its own up once,
+by (procedure, value, tag, column, calls, max_depth, cache_hits), in a
+bounded cache that builds it on a miss, with the witness from a cache keyed
+by (procedure, value, tag, column) that picks the line from the procedure's
+listing.  A caller that reports a run's time measures it itself, as the
+``check`` and ``bench growth`` commands do; a run reads the clock only under
+a budget.
 
 ``run_a1``/``run_a2`` take one validated ``BinaryMatrix``; below that root a
 frame is an int ``mask`` of root row positions (bit i for root row i+1) plus
@@ -181,23 +187,11 @@ def explicit_order(perm) -> tuple:
     return ("explicit", tuple(perm))
 
 
-# RecursionStats and Verdict write their fields straight into the instance
-# dict: a frozen dataclass's generated __init__ sets each one through
-# object.__setattr__, about twice the cost, and every run builds one of each.
-# Equality, hashing, repr, asdict and FrozenInstanceError are the dataclass's.
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class RecursionStats:
     calls: int
     max_depth: int
     cache_hits: int
-    elapsed_ns: int
-
-    def __init__(self, calls: int, max_depth: int, cache_hits: int, elapsed_ns: int):
-        fields = self.__dict__
-        fields["calls"] = calls
-        fields["max_depth"] = max_depth
-        fields["cache_hits"] = cache_hits
-        fields["elapsed_ns"] = elapsed_ns
 
 
 @dataclass(frozen=True)
@@ -209,17 +203,11 @@ class Witness:
     line: int
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Verdict:
     value: bool
     witness: Witness | None
     stats: RecursionStats
-
-    def __init__(self, value: bool, witness: Witness | None, stats: RecursionStats):
-        fields = self.__dict__
-        fields["value"] = value
-        fields["witness"] = witness
-        fields["stats"] = stats
 
 
 def _validate_order(order: ColumnOrder, n: int) -> None:
@@ -260,14 +248,23 @@ def _witness(a2: bool, value: bool, tag: str, col: int | None) -> Witness:
     return Witness(tag, col, (_A2_LINES if a2 else _A1_LINES)[tag, value])
 
 
+@lru_cache(maxsize=256)
+def _verdict(
+    a2: bool, value: bool, tag: str, col: int | None, calls: int, max_depth: int, cache_hits: int
+) -> Verdict:
+    """A run's verdict: one shared instance per outcome and statistics while
+    it is among the 256 most recently returned; a miss builds it."""
+    return Verdict(value, _witness(a2, value, tag, col), RecursionStats(calls, max_depth, cache_hits))
+
+
 class _Run:
     """Mutable per-run context: a1 or a2, statistics, the root's (tag, column)
     witness, budget deadline, and the run's plan: its column orders, its one
     frame cache (a value-position run's sub-frame table, a memoized run's
     private memo cache, or None) and the one frame function that every frame
     below the root goes through (``_tabled``, ``_memoized`` or ``_certify``).
-    `_run` fills every slot itself: an ``__init__`` call costs about a
-    twentieth of a U(4) run."""
+    `_run` fills every slot itself but ``witness``, which the root frame sets:
+    an ``__init__`` call costs about a twentieth of a U(4) run."""
 
     __slots__ = (
         "a2", "calls", "max_depth", "cache_hits", "orders", "deadline", "witness",
@@ -393,9 +390,12 @@ def _value_plan(a2: bool, order: ColumnOrder, n: int) -> tuple[tuple, dict]:
 def _run(
     a2: bool, matrix: BinaryMatrix, order: ColumnOrder, memoize: bool, budget_ns: int | None
 ) -> Verdict:
-    started = time.perf_counter_ns()
-    if budget_ns is not None and budget_ns <= 0:
-        raise ValueError(f"budget must be positive or None, got {budget_ns} ns")
+    deadline = None
+    if budget_ns is not None:
+        if budget_ns <= 0:
+            raise ValueError(f"budget must be positive or None, got {budget_ns} ns")
+        # taken at entry, so the root build spends the budget too
+        deadline = time.perf_counter_ns() + budget_ns
     rows, n = matrix.rows, matrix.n
     m = len(rows)
     # the row-set rank, whose popcount is m exactly when the rows are
@@ -414,25 +414,20 @@ def _run(
         table, recurse = ({}, _memoized) if memoize else (None, _certify)
         mask = (1 << m) - 1
         cols = column_patterns(sorted(rows) if memoize else rows, n)
-    # the budget counts from `started`, so the root build spends it too, and
-    # it is checked here once, since a root that ends at a base case runs no frame
-    deadline = None if budget_ns is None else started + budget_ns
+    # checked here once, since a root that ends at a base case runs no frame
     if deadline is not None and time.perf_counter_ns() >= deadline:
         raise BudgetExceeded("run exceeded its wall-clock budget")
+    # the root's own base cases (lines 0-7); no frame below the root meets them
+    if a2 and m == 1 and n > 1:
+        return _verdict(a2, True, M1_BASE, None, 1, 0, 0)
+    if n == 1:
+        return _verdict(a2, _heavy(mask, m, cols), N1_BASE, 1, 1, 0, 0)
     ctx = object.__new__(_Run)
     ctx.a2, ctx.orders, ctx.deadline, ctx.table, ctx.recurse = a2, orders, deadline, table, recurse
     ctx.calls = ctx.max_depth = ctx.cache_hits = 0
-    ctx.witness = None
-    # the root's own base cases (lines 0-7); no frame below the root meets them
-    if a2 and m == 1 and n > 1:
-        ctx.calls, value, tag, col = 1, True, M1_BASE, None
-    elif n == 1:
-        ctx.calls, value, tag, col = 1, _heavy(mask, m, cols), N1_BASE, 1
-    else:
-        value = _certify(mask, cols, 0, ctx)
-        tag, col = ctx.witness
-    stats = RecursionStats(ctx.calls, ctx.max_depth, ctx.cache_hits, time.perf_counter_ns() - started)
-    return Verdict(value, _witness(a2, value, tag, col), stats)
+    value = _certify(mask, cols, 0, ctx)
+    tag, col = ctx.witness
+    return _verdict(a2, value, tag, col, ctx.calls, ctx.max_depth, ctx.cache_hits)
 
 
 def run_a1(

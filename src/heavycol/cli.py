@@ -169,13 +169,14 @@ def report_dict(
     matrix: BinaryMatrix,
     algorithm: str,
     verdict: Verdict | None = None,
-    heavy: set[int] | None = None,
+    heavy: frozenset[int] | None = None,
     elapsed_ns: int = 0,
 ) -> dict:
-    """The check/oracle/analyze report; no verdict means an oracle-only one."""
+    """The check/oracle/analyze report; no verdict means an oracle-only one.
+    `elapsed_ns` is the caller's own timing of the run or the oracle."""
     props = matrix_properties(matrix)
     w = None if verdict is None else verdict.witness
-    stats = RecursionStats(0, 0, 0, elapsed_ns) if verdict is None else verdict.stats
+    stats = RecursionStats(0, 0, 0) if verdict is None else verdict.stats
     return {
         "m": matrix.m,
         "n": matrix.n,
@@ -188,7 +189,7 @@ def report_dict(
             "distinct_columns": props.distinct_columns,
             "all_zero_column": props.has_all_zero_column,
         },
-        "stats": asdict(stats),
+        "stats": {**asdict(stats), "elapsed_ns": elapsed_ns},
     }
 
 
@@ -249,11 +250,13 @@ def _cmd_check(args) -> int:
         raise ValueError(f"bad --order {args.order!r} for a2; its column loop is fixed ascending")
     matrix = _read_matrix(args.input)
     budget_ns = args.budget_ms * 1_000_000
+    started = time.perf_counter_ns()
     if args.algo == "a2":
         verdict = run_a2(matrix, memoize=args.memo, budget_ns=budget_ns)
     else:
         verdict = run_a1(matrix, order=order, memoize=args.memo, budget_ns=budget_ns)
-    doc = report_dict(matrix, args.algo, verdict)
+    elapsed = time.perf_counter_ns() - started
+    doc = report_dict(matrix, args.algo, verdict, elapsed_ns=elapsed)
     if args.json:
         print(to_json(doc))
     else:
@@ -382,6 +385,8 @@ def _cmd_bench(args) -> int:
             raise ValueError("compare needs --store")
         if args.save:
             raise ValueError("--save needs --store")
+    elif args.action == "growth" and not args.save:
+        raise ValueError("--store needs --save; growth reads no baseline")
     table = profile_family(family, n_range, algos=algos, budget_ns=args.budget_ms * 1_000_000)
     if args.action == "growth":
         if args.save:

@@ -89,6 +89,16 @@ class BinaryMatrix:
         return (self.rows[i - 1] >> (k - 1)) & 1
 
 
+def _valid_matrix(rows: tuple[int, ...], n: int) -> BinaryMatrix:
+    """A BinaryMatrix built without ``__init__``'s checks, for a caller whose
+    rows are by construction a non-empty tuple of values below 2^n, 1 <= n <= 63."""
+    matrix = object.__new__(BinaryMatrix)
+    fields = matrix.__dict__
+    fields["rows"] = rows
+    fields["n"] = n
+    return matrix
+
+
 @dataclass(frozen=True)
 class MatrixProperties:
     """Precondition flags plus per-column one-counts."""
@@ -182,24 +192,26 @@ def _kernel(m: int):
     return _SPREAD[w].__getitem__, ((1 << w - 1) - (m + 1) // 2) * ones, ones << w - 1, gather, 8 * w - 8
 
 
-def heavy_columns(matrix: BinaryMatrix) -> set[int]:
+def heavy_columns(matrix: BinaryMatrix) -> frozenset[int]:
     """All heavy column indices, counted eight columns a word.  Lanes are w
     bits, w the bit length of m rounded up to a byte (m < 2^w).  Row bytes
     spread into the lanes sum from a bias of 2^(w-1) - ceil(m/2) per lane, so
     a top bit is set exactly when its column is heavy and no lane carries (a
     count less ceil(m/2) is at most floor(m/2) < 2^(w-1)).  One multiply gathers the
     top bits into a byte (for w >= 8 its 64 partial products fall on distinct bits),
-    and a table names the columns.  Nothing is shared with the recursion."""
+    and a table names the columns: up to 8 columns its shared set is the answer.
+    Nothing is shared with the recursion."""
     rows, n = matrix.rows, matrix.n
     spread, bias, top, gather, shift = _kernel(len(rows))
-    lanes = sum(map(spread, rows if n <= 8 else map((255).__and__, rows)), bias)
-    heavy = set(_HEAVY[(lanes & top) * gather >> shift & 255])
-    if n > 8:
-        for base in range(8, n, 8):
+    if n <= 8:
+        return _HEAVY[(sum(map(spread, rows), bias) & top) * gather >> shift & 255]
+    heavy = []
+    for base in range(0, n, 8):
+        if base:
             rows = tuple(map((8).__rrshift__, rows))
-            lanes = sum(map(spread, rows if n - base <= 8 else map((255).__and__, rows)), bias)
-            heavy.update(map(base.__add__, _HEAVY[(lanes & top) * gather >> shift & 255]))
-    return heavy
+        lanes = sum(map(spread, rows if n - base <= 8 else map((255).__and__, rows)), bias)
+        heavy += map(base.__add__, _HEAVY[(lanes & top) * gather >> shift & 255])
+    return frozenset(heavy)
 
 
 # O_k per width n up to 7, at index k-1: the values in 0..2^n - 1 with a one

@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import io
 import random
+import time
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
@@ -127,7 +128,10 @@ def harvest_worst(n: int, algo: str) -> BinaryMatrix:
     return best
 
 
-def _measure(algo: str, matrix: BinaryMatrix, memoize: bool, budget_ns: int | None):
+def _measure(algo: str, matrix: BinaryMatrix, memoize: bool, budget_ns: int | None) -> tuple:
+    """One run's (calls, cache_hits, max_depth, elapsed_ns), timed here; all
+    None if it outlived its budget."""
+    started = time.perf_counter_ns()
     try:
         if memoize:
             verdict = run_memoized(algo, matrix, budget_ns=budget_ns)
@@ -136,8 +140,10 @@ def _measure(algo: str, matrix: BinaryMatrix, memoize: bool, budget_ns: int | No
         else:
             verdict = run_a2(matrix, budget_ns=budget_ns)
     except BudgetExceeded:
-        return None
-    return verdict.stats
+        return (None,) * 4
+    elapsed_ns = time.perf_counter_ns() - started
+    s = verdict.stats
+    return s.calls, s.cache_hits, s.max_depth, elapsed_ns
 
 
 def profile_family(
@@ -168,8 +174,7 @@ def profile_family(
         for algo in algos:
             matrix = _family_matrix(family, n, algo)
             for variant, memoize in (("plain", False), ("memoized", True)):
-                s = _measure(algo, matrix, memoize, budget_ns)
-                metrics = (None,) * 4 if s is None else (s.calls, s.cache_hits, s.max_depth, s.elapsed_ns)
+                metrics = _measure(algo, matrix, memoize, budget_ns)
                 rows.append(GrowthRow(n, label, matrix.m, algo, variant, *metrics))
     return GrowthTable(tuple(rows))
 

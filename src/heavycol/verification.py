@@ -25,9 +25,11 @@ property) pair.  `_scan_chunk` counts each distinct names tuple and bumps the
 tallies from those counts once per range, and it renders a case as text only
 if it keeps it under the witness cap.  A scan binds an inspector's other
 parameters with `functools.partial`, so the process pool can pickle it.
-Inspectors and the universe walk read the names they scan with (`run_a1`,
-`heavy_columns`, `BinaryMatrix`, ...) from this module's globals on every
-call: the benchmark's traced pass wraps them.
+Inspectors read the names they scan with (`run_a1`, `heavy_columns`,
+`find_unpaired`, ...) from this module's globals on every call: the
+benchmark's traced pass replaces them, and `BinaryMatrix` too, with plain
+wrapper functions.  The walk and the random draws build their matrices with
+`matrix._valid_matrix`, skipping checks that their rows meet by construction.
 
 Reports are deterministic byte-for-byte for a fixed spec, whatever the
 worker count: work is split into contiguous rank ranges, partial results are
@@ -48,6 +50,7 @@ from .algorithms import KEY_CONDITION, explicit_order, run_a1, run_a2
 from .matrix import (
     VALUE_COLUMNS,
     BinaryMatrix,
+    _valid_matrix,
     heavy_columns,
     matrix_properties,
     matrix_to_text,
@@ -193,7 +196,7 @@ def _draw_random(spec: UniverseSpec, index: int) -> BinaryMatrix:
         m = spec.m_min + bisect_right(bounds, rng.randrange(bounds[-1]))
         rows = tuple(sorted(rng.sample(range(space), m)))
         if not masks or _passes_constraints(masks, sum(1 << r for r in rows)):
-            return BinaryMatrix(rows, spec.n)
+            return _valid_matrix(rows, spec.n)
     raise ValueError(f"constraints reject everything near seed {spec.seed}:{index}")
 
 
@@ -213,7 +216,7 @@ def _iter_range(spec: UniverseSpec, lo: int, hi: int) -> Iterator[BinaryMatrix]:
                     if not rank & mask:
                         break
                 else:
-                    yield BinaryMatrix(low[rank & 255] + high[rank >> 8], n)
+                    yield _valid_matrix(low[rank & 255] + high[rank >> 8], n)
 
 
 def enumerate_universe(spec: UniverseSpec) -> Iterator[BinaryMatrix]:

@@ -238,16 +238,35 @@ def test_a2_accepts_whatever_a1_accepts(m):
         assert run_a2(m).value
 
 
+_RUNS = [
+    (run_a1, {}),
+    (run_a2, {}),
+    (run_a1, {"memoize": True}),
+    (run_a2, {"memoize": True}),
+    (run_a1, {"order": shuffled_order(3)}),
+    (run_a1, {"order": shuffled_order(3), "memoize": True}),
+]
+
+
+def test_runs_of_one_matrix_give_equal_verdicts():
+    # a verdict holds no timing, so two runs of one matrix give equal verdicts,
+    # with or without a budget
+    for matrix in (m for n in (1, 2, 3) for m in enumerate_universe(UniverseSpec(n=n))):
+        for run, kwargs in _RUNS:
+            first = run(matrix, **kwargs)
+            assert run(matrix, **kwargs) == first
+            assert run(matrix, budget_ns=10**12, **kwargs) == first
+
+
 def test_run_values_stay_frozen_dataclasses():
-    # RecursionStats and Verdict fill their own fields; the dataclass API on
-    # them is the generated one
-    stats = RecursionStats(5, 2, 1, 40)
-    assert dataclasses.asdict(stats) == {"calls": 5, "max_depth": 2, "cache_hits": 1, "elapsed_ns": 40}
-    assert repr(stats) == "RecursionStats(calls=5, max_depth=2, cache_hits=1, elapsed_ns=40)"
-    same = RecursionStats(calls=5, max_depth=2, cache_hits=1, elapsed_ns=40)
+    # verdicts are shared between runs, so their fields must stay frozen
+    stats = RecursionStats(5, 2, 1)
+    assert dataclasses.asdict(stats) == {"calls": 5, "max_depth": 2, "cache_hits": 1}
+    assert repr(stats) == "RecursionStats(calls=5, max_depth=2, cache_hits=1)"
+    same = RecursionStats(calls=5, max_depth=2, cache_hits=1)
     assert stats == same and hash(stats) == hash(same)
-    assert stats != RecursionStats(5, 2, 1, 41)
-    assert dataclasses.replace(stats, calls=6) == RecursionStats(6, 2, 1, 40)
+    assert stats != RecursionStats(5, 2, 2)
+    assert dataclasses.replace(stats, calls=6) == RecursionStats(6, 2, 1)
     verdict = run_a2(parse_matrix("10\n01"))
     assert dataclasses.asdict(verdict) == {
         "value": True,

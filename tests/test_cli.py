@@ -46,6 +46,24 @@ def test_check_human_output(monkeypatch, capsys):
     assert "heavy columns: 1, 2" in out
 
 
+def test_commands_time_their_own_runs(monkeypatch, capsys):
+    # a verdict carries no time: check times its run for stats.elapsed_ns and
+    # the stats line, and bench growth times each row
+    for algo in ("a1", "a2"):
+        for memo in ([], ["--memo"]):
+            code, out, _ = run_cli(["check", "--algo", algo, *memo, "--json", "-"], "10\n01\n",
+                                   monkeypatch, capsys)
+            elapsed = json.loads(out)["stats"]["elapsed_ns"]
+            assert code == 0 and type(elapsed) is int and elapsed >= 0
+    code, out, _ = run_cli(["check", "--algo", "a1", "-"], "10\n01\n", monkeypatch, capsys)
+    assert code == 0
+    assert re.search(r"^stats: calls=1 max_depth=0 cache_hits=0 elapsed=\d+\.\d{3}ms$", out, re.M)
+    code, out, _ = run_cli(["bench", "growth", "--n-max", "4", "--json"], None, monkeypatch, capsys)
+    rows = json.loads(out)["rows"]
+    assert code == 0 and len(rows) == 16
+    assert all(type(row["elapsed_ns"]) is int and row["elapsed_ns"] >= 0 for row in rows)
+
+
 def test_check_ragged_file_is_usage_error(tmp_path, monkeypatch, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("10\n011\n")
@@ -111,8 +129,8 @@ def test_report_dict_schema():
     assert doc["heavy_columns"] == []
     assert doc["stats"] == {"calls": 0, "max_depth": 0, "cache_hits": 0, "elapsed_ns": 0}
 
-    verdict = Verdict(True, Witness(EXHAUSTED_TRUE, None, 18), RecursionStats(7, 1, 0, 120))
-    doc = json.loads(to_json(report_dict(m, "a1", verdict)))
+    verdict = Verdict(True, Witness(EXHAUSTED_TRUE, None, 18), RecursionStats(7, 1, 0))
+    doc = json.loads(to_json(report_dict(m, "a1", verdict, elapsed_ns=120)))
     assert doc["stats"] == {"calls": 7, "max_depth": 1, "cache_hits": 0, "elapsed_ns": 120}
     assert doc["witness"] == {"line": 18, "column": None} and doc["verdict"] is True
 
@@ -348,10 +366,10 @@ def test_bench_growth_csv(monkeypatch, capsys):
 def test_bench_empty_range_is_usage_error(tmp_path, monkeypatch, capsys):
     # --n-min above --n-max used to print a header-only table and exit 0,
     # or fail inside min() with --save or compare
-    for action in (["growth"], ["growth", "--save"], ["compare"]):
+    for action in (["growth"], ["growth", "--save", "--store", str(tmp_path)],
+                   ["compare", "--store", str(tmp_path)]):
         code, out, err = run_cli(
-            ["bench", *action, "--n-min", "3", "--n-max", "1", "--store", str(tmp_path)],
-            None, monkeypatch, capsys,
+            ["bench", *action, "--n-min", "3", "--n-max", "1"], None, monkeypatch, capsys,
         )
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and "empty column-count range range(3, 2)" in err
@@ -415,7 +433,7 @@ def test_bench_worst_found_range_checked_before_work(tmp_path, monkeypatch, caps
     monkeypatch.setattr("heavycol.profiling._measure", no_work)
     code, out, err = run_cli(
         ["bench", "growth", "--family", "worst_found", "--n-min", "1", "--n-max", "5",
-         "--store", str(tmp_path)],
+         "--save", "--store", str(tmp_path)],
         None, monkeypatch, capsys,
     )
     assert (code, out) == (2, "")
@@ -454,20 +472,22 @@ def test_bench_worst_found_needs_no_store(monkeypatch, capsys):
 
 
 def test_bench_store_holds_baselines_only(tmp_path, monkeypatch, capsys):
-    # a growth run without --save writes nothing to the store and reads
-    # nothing from it: a 3-column matrix filed as a1's n=2 specimen used to be
-    # measured and printed as the n=2 row
+    # growth reads --store only to --save a baseline there; without --save the
+    # flag used to be accepted and ignored, exiting 0, as a 3-column matrix
+    # filed as a1's n=2 specimen was once measured and printed as the n=2 row
     args = ["bench", "growth", "--family", "worst_found", "--n-min", "1", "--n-max", "3",
             "--store", str(tmp_path)]
-    golden = "".join(GOLDEN_WORST_FOUND.splitlines(keepends=True)[:13])
-    code, out, _ = run_cli(args, None, monkeypatch, capsys)
-    assert (code, _masked(out)) == (0, golden)
-    assert list(tmp_path.iterdir()) == []
     planted = tmp_path / "worst_a1_n2.txt"
     planted.write_text("101\n011\n111\n")
-    code, out, _ = run_cli(args, None, monkeypatch, capsys)
-    assert (code, _masked(out)) == (0, golden)
+    code, out, err = run_cli(args, None, monkeypatch, capsys)
+    assert (code, out) == (2, "")
+    assert err == "ValueError: --store needs --save; growth reads no baseline\n"
     assert list(tmp_path.iterdir()) == [planted]
+    golden = "".join(GOLDEN_WORST_FOUND.splitlines(keepends=True)[:13])
+    code, out, err = run_cli([*args, "--save"], None, monkeypatch, capsys)
+    assert (code, _masked(out)) == (0, golden) and "baseline written" in err
+    (saved,) = tmp_path.glob("growth_*.csv")
+    assert sorted(tmp_path.iterdir()) == sorted([planted, saved])
 
 
 @pytest.mark.parametrize("args, stdin, message", [
@@ -493,6 +513,7 @@ _UNREAD_FLAGS = [
     (["explore", "converse", "--perm-budget", "-3"], "--perm-budget"),
     (["explore", "converse", "--perm-budget", "5"], "--perm-budget"),
     (["bench", "compare", "--save"], "--save"),
+    (["bench", "growth"], "--store"),
 ]
 
 
@@ -501,7 +522,8 @@ _UNREAD_FLAGS = [
 )
 def test_flag_the_target_does_not_read_is_usage_error(args, flag, tmp_path, monkeypatch, capsys):
     # each of these used to be accepted and ignored (remark scans one fixed
-    # matrix, converse permutes nothing, compare saves nothing), exiting 0
+    # matrix, converse permutes nothing, compare saves nothing, growth without
+    # --save reads no store), exiting 0
     store = ["--n-max", "2", "--store", str(tmp_path)] if args[0] == "bench" else []
     if store:
         assert run_cli(["bench", "growth", "--save", *store], None, monkeypatch, capsys)[0] == 0

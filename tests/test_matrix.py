@@ -237,6 +237,16 @@ def test_heavy_columns_counts_as_column_weight_when_wide_and_tall():
         assert heavy_columns(matrix) == _heavy_by_weight(matrix), (n, m)
 
 
+@pytest.mark.parametrize("n", [1, 8, 9, 16, 17, 63])
+def test_heavy_columns_is_a_frozenset(n):
+    # up to 8 columns the answer is a shared set, wider it is built once
+    rng = random.Random(n)
+    for m in (1, 2, 5, 300):
+        matrix = BinaryMatrix(tuple(rng.getrandbits(n) for _ in range(m)), n)
+        heavy = heavy_columns(matrix)
+        assert type(heavy) is frozenset and heavy == _heavy_by_weight(matrix), (n, m)
+
+
 @pytest.mark.parametrize(
     "shapes",
     [

@@ -288,6 +288,18 @@ def test_rank_rows_are_the_set_bits():
                 assert [m.rows for m in enumerate_universe(spec)] == expected
 
 
+def test_walk_matrices_equal_checked_ones():
+    # the walk and the random draws build their matrices without
+    # BinaryMatrix's checks; each must equal the checked matrix of its rows
+    for distinct, nonzero in [(False, False), *_FLAGS]:
+        flags = dict(require_distinct_columns=distinct, forbid_all_zero_column=nonzero)
+        specs = [UniverseSpec(n=n, **flags) for n in range(1, 5)]
+        specs += [UniverseSpec(n=n, mode="random", samples=200, seed=n, **flags) for n in (5, 6)]
+        for spec in specs:
+            walked = list(enumerate_universe(spec))
+            assert walked and [m for m in walked if m != BinaryMatrix(m.rows, m.n)] == []
+
+
 def _rank_filter_mismatches(spec, row_sets):
     masks = verification._constraint_masks(spec)
     return [
@@ -383,3 +395,46 @@ def test_collected_witnesses_reproduce_their_condition():
             continue
         m = parse_matrix(w.matrix)
         assert heavy_columns(m) and not run_a1(m).value
+
+
+# The names in `verification` that the benchmark's traced pass replaces with
+# plain wrapper functions while it runs the scans.
+_TRACED_NAMES = (
+    "BinaryMatrix", "run_a1", "run_a2", "heavy_columns", "find_unpaired",
+    "sequential_reduction", "matrix_properties",
+)
+
+
+def test_scans_run_with_their_names_wrapped(monkeypatch):
+    # a scan that used a wrapped name as anything but a callable (a class
+    # attribute of BinaryMatrix, say) would fail only under the traced pass
+    runs = [(check_theorem1, UniverseSpec(n=n), "run_a1") for n in (1, 2, 3)]
+    runs += [(check_theorem2, constrained(n), "run_a2") for n in (1, 2, 3)]
+    runs.append((check_theorem2, constrained(5, mode="random", samples=50, seed=4), "run_a2"))
+    runs += [(scan, UniverseSpec(n=n), None)
+             for scan in (check_lemma1, check_reduction_claim) for n in (1, 2, 3)]
+    expected = [scan(spec) for scan, spec, _ in runs]
+    tested = [list(enumerate_universe(spec)) for _, spec, _ in runs]
+    remark = remark_counterexamples()
+
+    seen = {name: [] for name in _TRACED_NAMES}
+    called = Counter()
+
+    def counting(name, fn):
+        def call(*args, **kwargs):
+            seen[name].append(args[0])
+            called[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    for name in _TRACED_NAMES:
+        monkeypatch.setattr(verification, name, counting(name, getattr(verification, name)))
+    for (scan, spec, algo), report, matrices in zip(runs, expected, tested):
+        seen["run_a1"], seen["run_a2"] = [], []
+        assert scan(spec) == report and len(matrices) == report.tested
+        if algo:
+            assert seen[algo] == matrices
+    seen["run_a2"] = []
+    assert remark_counterexamples() == remark
+    assert seen["run_a2"] == [BinaryMatrix((0,), 2)]
+    assert set(called) == set(_TRACED_NAMES) - {"BinaryMatrix"}

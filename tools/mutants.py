@@ -112,10 +112,11 @@ MUTANTS = [
         (f"{FAST}::test_all_of_small_universes[2]", f"{FAST}::test_full_cube_up_to_6"),
     ),
     Mutant(
-        # the budget starts once the root is built, so that build runs free
+        # the deadline is taken again once the root is built, so that build runs free
         "budget-clock-after-root-build", "algorithms.py",
-        "deadline = None if budget_ns is None else started + budget_ns",
-        "deadline = None if budget_ns is None else time.perf_counter_ns() + budget_ns",
+        "    if deadline is not None and time.perf_counter_ns() >= deadline:\n",
+        "    if deadline is not None:\n        deadline = time.perf_counter_ns() + budget_ns\n"
+        "    if deadline is not None and time.perf_counter_ns() >= deadline:\n",
         (f"{PROF}::test_budget_counts_the_root_build",),
     ),
     Mutant(
@@ -161,6 +162,18 @@ MUTANTS = [
         "tally-counts-once", "verification.py",
         "tallies[name] = tallies.get(name, 0) + count", "tallies[name] = tallies.get(name, 0) + 1",
         (f"{VERIFY}::test_witness_cap_commutes_with_partitioning",),
+    ),
+    Mutant(
+        # the verdict cache keyed without max_depth: a run gets the first
+        # verdict that differs from its own in max_depth alone
+        "verdict-key-drops-max-depth", "algorithms.py",
+        "@lru_cache(maxsize=256)\ndef _verdict(\n",
+        "def _verdict(a2, value, tag, col, calls, max_depth, cache_hits, _seen={}):\n"
+        "    key = (a2, value, tag, col, calls, cache_hits)\n"
+        "    if key not in _seen:\n"
+        "        _seen[key] = _verdict_of(a2, value, tag, col, calls, max_depth, cache_hits)\n"
+        "    return _seen[key]\n\n\ndef _verdict_of(\n",
+        (f"{FAST}::test_all_of_small_universes[3]", f"{FAST}::test_a1_every_explicit_order[3]"),
     ),
     Mutant(
         # a1 witnesses read a2's line numbers and a2's read a1's
@@ -211,6 +224,12 @@ MUTANTS = [
         # lanes sized for m <= 2^w: one byte at m = 256, where an all-one column carries out
         "oracle-lane-byte-short", "matrix.py",
         "while m >> w:", "while m > 1 << w:",
+        (f"{MATRIX}::test_heavy_columns_at_lane_boundaries[byte-lanes]",),
+    ),
+    Mutant(
+        # the shared answer for up to 8 columns serves 9: column 9 is never counted
+        "oracle-shared-set-at-9-columns", "matrix.py",
+        "    if n <= 8:\n        return _HEAVY[", "    if n <= 9:\n        return _HEAVY[",
         (f"{MATRIX}::test_heavy_columns_at_lane_boundaries[byte-lanes]",),
     ),
     Mutant(
