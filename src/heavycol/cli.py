@@ -2,7 +2,7 @@
 
 Subcommands: check (run a1/a2), oracle (heavy columns by counting), analyze
 (structure report), verify (guarantee scans), explore (open-question scans),
-bench (recursion growth tables and baseline diffs).
+bench (recursion growth tables, and diffs against one saved as a baseline).
 
 Exit codes: 0 success (for verify/explore, zero violations); 1 violations or
 behavioral regressions found; 2 usage or input errors, or a check that ran
@@ -39,10 +39,10 @@ from .matrix import (
 from .structure import find_unpaired, sequential_reduction
 from .profiling import (
     DEFAULT_BUDGET_NS,
-    MissingBaseline,
-    load_baseline,
+    GrowthTable,
+    parse_family,
     profile_family,
-    save_baseline,
+    rerun_spec,
     snapshot_compare,
 )
 from .verification import (
@@ -68,8 +68,8 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-# flag -> its add_argument keywords, for verify, explore and bench (and --json,
-# --budget-ms for check)
+# flag or positional -> its add_argument keywords, for verify, explore and
+# bench (and --json, --budget-ms and input for check, oracle and analyze)
 _FLAGS = {
     "--n": dict(type=int, default=3, help="column count of the universe"),
     "--m-min": dict(type=int, default=1),
@@ -87,13 +87,13 @@ _FLAGS = {
     "--budget-ms": dict(type=int, default=DEFAULT_BUDGET_NS // 1_000_000,
                         help="per-run wall-clock budget in ms, positive; bench marks a run "
                              "that exceeds it, check exits 2"),
-    "--store": dict(default=None, help="baseline directory, read by compare and --save"),
-    "--save": dict(action="store_true", help="store the table as the new baseline"),
     "--json": dict(action="store_true", help="emit one JSON document"),
+    "input": dict(help="matrix file, or '-' for standard input"),
+    "baseline": dict(help="CSV printed by bench growth, or '-' for standard input"),
 }
 _SCAN = ("--workers", "--witness-cap", "--json")
 _UNIVERSE = ("--n", "--m-min", "--m-max", "--mode", *_SCAN)
-_BENCH = ("--family", "--n-min", "--n-max", "--algo", "--budget-ms", "--store", "--json")
+_GROWTH = ("--family", "--n-min", "--n-max", "--algo", "--budget-ms", "--json")
 
 # command -> target -> (the name of its scan function in this module, or None,
 # and the only flags the parser offers it).  A scan function is looked up on
@@ -111,7 +111,7 @@ _TARGETS = {
         "converse": ("converse_scan", _UNIVERSE),
         "order-sensitivity": ("order_sensitivity_scan", (*_UNIVERSE, "--perm-budget")),
     },
-    "bench": {"growth": (None, (*_BENCH, "--save")), "compare": (None, _BENCH)},
+    "bench": {"growth": (None, _GROWTH), "compare": (None, ("--budget-ms", "--json", "baseline"))},
 }
 
 
@@ -122,9 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_input(p):
-        p.add_argument("input", help="matrix file, or '-' for standard input")
-
     p = sub.add_parser("check", help="run a certificate procedure on one matrix")
     p.add_argument("--algo", choices=["a1", "a2"], required=True)
     p.add_argument("--order", default="ascending",
@@ -132,11 +129,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--memo", action="store_true", help="memoize the recursion")
     p.add_argument("--budget-ms", **_FLAGS["--budget-ms"])
     p.add_argument("--json", **_FLAGS["--json"])
-    add_input(p)
+    p.add_argument("input", **_FLAGS["input"])
 
     p = sub.add_parser("oracle", help="list heavy columns by direct counting")
     p.add_argument("--json", **_FLAGS["--json"])
-    add_input(p)
+    p.add_argument("input", **_FLAGS["input"])
 
     p = sub.add_parser("analyze", help="structure report: properties, conjugacy, unpaired rows")
     p.add_argument("--trace", action="store_true",
@@ -144,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace-at", metavar="ROW:COL", default=None,
                    help="show a sequential reduction anchored at this row and column")
     p.add_argument("--json", **_FLAGS["--json"])
-    add_input(p)
+    p.add_argument("input", **_FLAGS["input"])
 
     for command, dest, help in (
         ("verify", "target", "machine-check a guarantee over a universe"),
@@ -193,9 +190,8 @@ def report_dict(
     }
 
 
-def _read_matrix(source: str) -> BinaryMatrix:
-    text = sys.stdin.read() if source == "-" else Path(source).read_text()
-    return parse_matrix(text)
+def _read(source: str) -> str:
+    return sys.stdin.read() if source == "-" else Path(source).read_text()
 
 
 def _parse_order(text: str):
@@ -248,7 +244,7 @@ def _cmd_check(args) -> int:
     order = _parse_order(args.order)
     if args.algo == "a2" and order != ASCENDING:
         raise ValueError(f"bad --order {args.order!r} for a2; its column loop is fixed ascending")
-    matrix = _read_matrix(args.input)
+    matrix = parse_matrix(_read(args.input))
     budget_ns = args.budget_ms * 1_000_000
     started = time.perf_counter_ns()
     if args.algo == "a2":
@@ -265,7 +261,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    matrix = _read_matrix(args.input)
+    matrix = parse_matrix(_read(args.input))
     started = time.perf_counter_ns()
     heavy = heavy_columns(matrix)
     elapsed = time.perf_counter_ns() - started
@@ -278,7 +274,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    matrix = _read_matrix(args.input)
+    matrix = parse_matrix(_read(args.input))
     trace = None
     if args.trace_at:
         # parsed and range-checked before anything is printed
@@ -364,41 +360,25 @@ def _cmd_scan(args) -> int:
     return 1 if any(r.violation_count for r in reports) else 0
 
 
-def _parse_family(text: str):
-    if text in ("full_cube", "worst_found"):
-        return text
-    with suppress(ValueError):
-        kind, seed = text.split(":")
-        if kind == "random_half":
-            return ("random_half", int(seed))
-    raise ValueError(f"bad --family {text!r}; use full_cube, random_half:SEED or worst_found")
-
-
 def _cmd_bench(args) -> int:
-    family = _parse_family(args.family)
-    n_range = range(args.n_min, args.n_max + 1)
-    algos = ("a1", "a2") if args.algo == "both" else (args.algo,)
-    store = Path(args.store) if args.store else None
-    # every --store check runs before profile_family does the work
-    if store is None:
-        if args.action == "compare":
-            raise ValueError("compare needs --store")
-        if args.save:
-            raise ValueError("--save needs --store")
-    elif args.action == "growth" and not args.save:
-        raise ValueError("--store needs --save; growth reads no baseline")
-    table = profile_family(family, n_range, algos=algos, budget_ns=args.budget_ms * 1_000_000)
+    budget_ns = args.budget_ms * 1_000_000
     if args.action == "growth":
-        if args.save:
-            path = save_baseline(table, store, family, n_range, algos)
-            print(f"baseline written: {path}", file=sys.stderr)
+        family = parse_family(args.family)
+        # profile_family checks an empty range too, without naming the flags
+        if args.n_min > args.n_max:
+            raise ValueError(f"--n-min {args.n_min} is above --n-max {args.n_max}")
+        algos = ("a1", "a2") if args.algo == "both" else (args.algo,)
+        n_range = range(args.n_min, args.n_max + 1)
+        table = profile_family(family, n_range, algos=algos, budget_ns=budget_ns)
         if args.json:
             print(to_json(table))
         else:
             sys.stdout.write(table.to_csv())
         return 0
-    baseline = load_baseline(store, family, n_range, algos)
-    diff = snapshot_compare(table, baseline)
+    # every row of the baseline is checked before any row is rerun
+    baseline = GrowthTable.from_csv(_read(args.baseline))
+    family, ns, algos = rerun_spec(baseline)
+    diff = snapshot_compare(profile_family(family, ns, algos=algos, budget_ns=budget_ns), baseline)
     if args.json:
         print(to_json({**asdict(diff), "clean": diff.clean}))
     else:
@@ -425,7 +405,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         return _DISPATCH[args.command](args)
     # MatrixError and UniverseTooLarge are ValueErrors
-    except (ValueError, MissingBaseline, BudgetExceeded, OSError) as exc:
+    except (ValueError, BudgetExceeded, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

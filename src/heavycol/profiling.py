@@ -12,7 +12,8 @@ Families:
                     universe, harvested on every run.
 
 A run that outlives its wall-clock budget is marked (empty metrics) and the
-table is still emitted.
+table is still emitted.  A baseline is a table's own CSV, and its rows name
+what `rerun_spec` reruns for `snapshot_compare` to diff against it.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ import csv
 import io
 import random
 import time
+from contextlib import suppress
 from dataclasses import astuple, dataclass, fields
-from pathlib import Path
 
 from .algorithms import BudgetExceeded, run_a1, run_a2, run_memoized
 from .matrix import BinaryMatrix
@@ -33,9 +34,8 @@ DEFAULT_BUDGET_NS = 2_000_000_000
 FULL_CUBE_MAX_N = 10
 OTHER_MAX_N = 16
 
-
-class MissingBaseline(Exception):
-    """No stored baseline (or baseline row) matches the current run."""
+# a growth row's variant names and whether it runs memoized
+_VARIANTS = (("plain", False), ("memoized", True))
 
 
 @dataclass(frozen=True)
@@ -51,10 +51,6 @@ class GrowthRow:
     cache_hits: int | None
     max_depth: int | None
     elapsed_ns: int | None
-
-    @property
-    def timed_out(self) -> bool:
-        return self.calls is None
 
     def key(self) -> tuple:
         return (self.family, self.n, self.algo, self.variant)
@@ -100,6 +96,18 @@ def family_label(family) -> str:
         kind, seed = family
         return f"{kind}:{seed}"
     return family
+
+
+def parse_family(text: str, source: str = "--family"):
+    """The family that `family_label` writes as `text`; `source` names where
+    `text` came from in the error."""
+    if text in ("full_cube", "worst_found"):
+        return text
+    with suppress(ValueError):
+        kind, seed = text.split(":")
+        if kind == "random_half":
+            return ("random_half", int(seed))
+    raise ValueError(f"bad {source} {text!r}; use full_cube, random_half:SEED or worst_found")
 
 
 def _family_matrix(family, n: int, algo: str) -> BinaryMatrix:
@@ -160,6 +168,8 @@ def profile_family(
     """
     if budget_ns is not None and budget_ns <= 0:
         raise ValueError(f"budget must be positive or None, got {budget_ns} ns")
+    if not algos or not set(algos) <= {"a1", "a2"}:
+        raise ValueError(f"algorithms must be a1 or a2, got {algos!r}")
     ns = tuple(n_range)
     if not ns:
         raise ValueError(f"empty column-count range {n_range!r}")
@@ -173,40 +183,28 @@ def profile_family(
     for n in ns:
         for algo in algos:
             matrix = _family_matrix(family, n, algo)
-            for variant, memoize in (("plain", False), ("memoized", True)):
+            for variant, memoize in _VARIANTS:
                 metrics = _measure(algo, matrix, memoize, budget_ns)
                 rows.append(GrowthRow(n, label, matrix.m, algo, variant, *metrics))
     return GrowthTable(tuple(rows))
 
 
-# --- baseline store and regression diffs ------------------------------------
+# --- baselines and regression diffs ----------------------------------------
 
 
-def config_digest(family, n_range, algos: tuple[str, ...]) -> str:
-    # imported here: hashlib loads OpenSSL, which only --store needs
-    import hashlib
-
-    ns = list(n_range)
-    text = f"{family_label(family)}|{min(ns)}-{max(ns)}|{','.join(algos)}"
-    return hashlib.sha256(text.encode()).hexdigest()[:12]
-
-
-def baseline_path(store: Path, family, n_range, algos: tuple[str, ...]) -> Path:
-    return Path(store) / f"growth_{config_digest(family, n_range, algos)}.csv"
-
-
-def save_baseline(table: GrowthTable, store: Path, family, n_range, algos) -> Path:
-    path = baseline_path(store, family, n_range, algos)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(table.to_csv())
-    return path
-
-
-def load_baseline(store: Path, family, n_range, algos) -> GrowthTable:
-    path = baseline_path(store, family, n_range, algos)
-    if not path.exists():
-        raise MissingBaseline(f"no baseline at {path}")
-    return GrowthTable.from_csv(path.read_text())
+def rerun_spec(baseline: GrowthTable) -> tuple:
+    """The (family, n values, algorithms) that `profile_family` reruns for a
+    baseline, whose rows must be exactly one per n, algorithm and variant."""
+    labels = {r.family for r in baseline.rows}
+    if len(labels) != 1:
+        raise ValueError(f"baseline must hold the rows of one family, got {sorted(labels)}")
+    family = parse_family(labels.pop(), "baseline family")
+    ns = sorted({r.n for r in baseline.rows})
+    algos = tuple(sorted({r.algo for r in baseline.rows}))
+    want = [(family_label(family), n, a, v) for n in ns for a in algos for v, _ in _VARIANTS]
+    if sorted(r.key() for r in baseline.rows) != sorted(want):
+        raise ValueError(f"baseline rows are not one per n in {ns}, algo in {list(algos)} and variant")
+    return family, ns, algos
 
 
 @dataclass(frozen=True)
@@ -233,14 +231,14 @@ _BEHAVIORAL_FIELDS = ("m", "calls", "cache_hits", "max_depth")
 
 
 def snapshot_compare(current: GrowthTable, baseline: GrowthTable) -> DiffReport:
-    """Diff a fresh table against a stored one, row-matched by key."""
+    """Diff a fresh table against a baseline, row-matched by key."""
     base = baseline.key_map()
     behavioral = []
     informational = []
     for row in current.rows:
         old = base.get(row.key())
         if old is None:
-            raise MissingBaseline(f"baseline has no row for {row.key()}")
+            raise ValueError(f"baseline has no row for {row.key()}")
         for fld in _BEHAVIORAL_FIELDS:
             a, b = getattr(old, fld), getattr(row, fld)
             if a != b:

@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import math
 import pickle
 import random
 
@@ -11,7 +13,9 @@ from heavycol import (
     enumerate_universe,
     heavy_columns,
     is_heavy,
+    matrix_properties,
     parse_matrix,
+    permute_columns,
     run_a1,
     run_a2,
     run_memoized,
@@ -236,6 +240,66 @@ def test_a2_accepts_whatever_a1_accepts(m):
     # duplicate rows included: a2 runs a1's frames with two more True exits
     if run_a1(m).value:
         assert run_a2(m).value
+
+
+def _meets_theorem2_preconditions(matrix):
+    props = matrix_properties(matrix)
+    return props.distinct_rows and props.distinct_columns and not props.has_all_zero_column
+
+
+def _column_ones(matrix):
+    """Each column's count of ones, counted here, not by the library."""
+    return [sum(r >> k & 1 for r in matrix.rows) for k in range(matrix.n)]
+
+
+def test_a2_rejects_every_no_heavy_matrix_of_at_most_4_rows():
+    # Theorem 2 by row count (README): under the preconditions a column that is
+    # not heavy is not all-zero and has fewer than m/2 ones, so at m <= 4 it has
+    # exactly one one (and at m <= 2 there is none); distinct columns then give
+    # n <= m.  Build every such matrix from that: columns drawn in order from
+    # the candidates, kept when the rows are distinct.
+    built = []
+    for m in range(1, 5):
+        # a candidate column as an m-bit mask over the rows
+        candidates = [c for c in range(1, 2**m) if 2 * bin(c).count("1") < m]
+        assert all(bin(c).count("1") == 1 for c in candidates)
+        for n in range(1, len(candidates) + 1):
+            for cols in itertools.permutations(candidates, n):
+                rows = tuple(sum((c >> i & 1) << k for k, c in enumerate(cols)) for i in range(m))
+                if len(set(rows)) == m:
+                    built.append(BinaryMatrix(rows, n))
+    # distinct rows leave at most one row outside every column, so n >= m - 1,
+    # and there are m!/(m - n)! ordered choices of n of the m unit columns
+    assert len(built) == sum(math.factorial(m) // math.factorial(m - n)
+                             for m in range(3, 5) for n in (m - 1, m))
+    for matrix in built:
+        assert matrix.n <= matrix.m <= 4 and _meets_theorem2_preconditions(matrix)
+        assert all(0 < 2 * ones < matrix.m for ones in _column_ones(matrix))
+        assert not heavy_columns(matrix)
+        assert run_a2(matrix).value is False
+    # the same row sets, up to row order, are all that the exhaustive universes hold
+    scanned = {
+        (m.n, m.rows) for n in range(1, 5)
+        for m in enumerate_universe(UniverseSpec(n=n, m_max=min(4, 2**n)))
+        if _meets_theorem2_preconditions(m) and not heavy_columns(m)
+    }
+    assert scanned == {(m.n, tuple(sorted(m.rows))) for m in built}
+
+
+def test_a2_accepts_k52_under_every_sampled_column_order():
+    # K(5,2): one row per point of {1..5}, one column per 2-subset, so 2 ones
+    # against 3 zeros in every column.  It meets Theorem 2's preconditions and
+    # has no heavy column, yet a2 accepts it: a measured leak, pinned here.
+    pairs = list(itertools.combinations(range(5), 2))
+    k52 = BinaryMatrix(tuple(sum(1 << k for k, pair in enumerate(pairs) if i in pair)
+                             for i in range(5)), len(pairs))
+    assert (k52.m, k52.n) == (5, 10) and _meets_theorem2_preconditions(k52)
+    assert _column_ones(k52) == [2] * 10 and not heavy_columns(k52)
+    assert run_a2(k52).value is True
+    rng = random.Random(20240801)
+    for _ in range(60):
+        order = rng.sample(range(1, 11), 10)
+        assert run_a2(permute_columns(k52, order)).value is True
 
 
 _RUNS = [

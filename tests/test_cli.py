@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heavycol import cli
+from heavycol import cli, profile_family
 from heavycol.cli import main
 from heavycol.verification import MAX_WORKERS
 
@@ -268,14 +268,18 @@ def test_check_budget_exceeded_exits_2(algo, monkeypatch, capsys):
 
 def test_commands_without_a_pool_or_store_load_neither(tmp_path):
     # the process pool (concurrent.futures, multiprocessing) and hashlib
-    # (OpenSSL) cost memory in every process that imports them
+    # (OpenSSL) cost memory in every process that imports them; compare
+    # used to load hashlib to name its baseline file
     matrix = tmp_path / "matrix.txt"
     matrix.write_text(GOLDEN_MATRIX)
+    baseline = tmp_path / "base.csv"
+    baseline.write_text(GOLDEN_GROWTH)
     commands = [
         ["verify", "theorem1", "--n", "2", "--json"],
         ["verify", "remark", "--workers", "2", "--json"],
         ["check", "--algo", "a2", str(matrix)],
         ["oracle", str(matrix)],
+        ["bench", "compare", str(baseline)],
     ]
     script = (
         "import contextlib, io, sys\n"
@@ -291,7 +295,29 @@ def test_commands_without_a_pool_or_store_load_neither(tmp_path):
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert (run.returncode, run.stderr) == (0, "")
-    assert run.stdout == "[0, 0, 0, 0] []\n"
+    assert run.stdout == "[0, 0, 0, 0, 0] []\n"
+
+
+def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
+    # str hashes, and so the iteration order of str sets and dicts, change with
+    # PYTHONHASHSEED; no report byte may follow them, and a baseline written
+    # under one seed reads clean under another
+    src = str(Path(cli.__file__).resolve().parents[1])
+
+    def run(seed, *args):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        return subprocess.run([sys.executable, "-m", "heavycol.cli", *args], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=120)
+
+    for args in (["verify", "all", "--n", "3", "--json"],
+                 ["explore", "order-sensitivity", "--n", "3", "--json"]):
+        first, second = (run(seed, *args) for seed in ("0", "12345"))
+        assert (first.returncode, first.stderr) == (0, "")
+        assert (second.returncode, second.stdout, second.stderr) == (0, first.stdout, "")
+    (tmp_path / "base.csv").write_text(run("0", "bench", "growth", "--n-max", "4").stdout)
+    compared = run("12345", "bench", "compare", "base.csv")
+    assert (compared.returncode, compared.stdout.splitlines()[-1], compared.stderr) == (0, "clean", "")
 
 
 def test_perm_budget_below_one_is_usage_error(monkeypatch, capsys):
@@ -363,51 +389,125 @@ def test_bench_growth_csv(monkeypatch, capsys):
     assert len(lines) == 1 + 2 * 2 * 2  # two n, two algos, two variants
 
 
-def test_bench_empty_range_is_usage_error(tmp_path, monkeypatch, capsys):
-    # --n-min above --n-max used to print a header-only table and exit 0,
-    # or fail inside min() with --save or compare
-    for action in (["growth"], ["growth", "--save", "--store", str(tmp_path)],
-                   ["compare", "--store", str(tmp_path)]):
-        code, out, err = run_cli(
-            ["bench", *action, "--n-min", "3", "--n-max", "1"], None, monkeypatch, capsys,
-        )
-        assert code == 2 and out == ""
-        assert err.count("\n") == 1 and "empty column-count range range(3, 2)" in err
+def _no_work(*args, **kwargs):
+    raise AssertionError("a table was computed before the check")
+
+
+def test_bench_empty_range_is_usage_error(monkeypatch, capsys):
+    # --n-min above --n-max used to print a header-only table and exit 0, and
+    # then to be reported as `empty column-count range range(3, 2)`, naming
+    # neither flag
+    monkeypatch.setattr(cli, "profile_family", _no_work)
+    code, out, err = run_cli(
+        ["bench", "growth", "--n-min", "3", "--n-max", "1"], None, monkeypatch, capsys,
+    )
+    assert (code, out, err) == (2, "", "ValueError: --n-min 3 is above --n-max 1\n")
 
 
 def test_bench_save_and_compare(tmp_path, monkeypatch, capsys):
-    base = ["--family", "full_cube", "--n-min", "1", "--n-max", "2",
-            "--store", str(tmp_path)]
-    code, _, err = run_cli(["bench", "growth", "--save", *base], None, monkeypatch, capsys)
-    assert code == 0 and "baseline written" in err
-    code, out, _ = run_cli(["bench", "compare", "--json", *base], None, monkeypatch, capsys)
-    assert code == 0
-    assert json.loads(out)["clean"] is True
+    # a baseline is the CSV growth prints, saved by redirecting it; compare
+    # reruns exactly its rows, read from a file or from standard input
+    reruns = []
+
+    def recorded(family, ns, **kwargs):
+        reruns.append((family, list(ns), kwargs["algos"]))
+        return profile_family(family, ns, **kwargs)
+
+    baseline = tmp_path / "base.csv"
+    for growth, rerun in (
+        (["--family", "full_cube", "--n-min", "1", "--n-max", "2"],
+         ("full_cube", [1, 2], ("a1", "a2"))),
+        (["--family", "random_half:5", "--n-min", "3", "--n-max", "4", "--algo", "a2"],
+         (("random_half", 5), [3, 4], ("a2",))),
+    ):
+        code, table, _ = run_cli(["bench", "growth", *growth], None, monkeypatch, capsys)
+        assert code == 0
+        baseline.write_text(table)
+        reruns.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "profile_family", recorded)
+            for source, stdin in ((str(baseline), None), ("-", table)):
+                code, out, err = run_cli(["bench", "compare", "--json", source], stdin,
+                                         monkeypatch, capsys)
+                doc = json.loads(out)
+                assert (code, err, doc["clean"], doc["behavioral"]) == (0, "", True, [])
+        assert reruns == [rerun, rerun]
 
 
 def test_bench_compare_missing_baseline(tmp_path, monkeypatch, capsys):
-    code, _, err = run_cli(
-        ["bench", "compare", "--family", "full_cube", "--n-min", "1", "--n-max", "2",
-         "--store", str(tmp_path)],
-        None, monkeypatch, capsys,
+    code, out, err = run_cli(
+        ["bench", "compare", str(tmp_path / "none.csv")], None, monkeypatch, capsys,
     )
-    assert code == 2 and "MissingBaseline" in err
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("FileNotFoundError: ")
 
 
-def test_bench_store_checked_before_work(monkeypatch, capsys):
-    # the missing --store used to surface only after the whole table was built
-    def no_work(*args, **kwargs):
-        raise AssertionError("profile_family ran before the --store check")
+def test_bench_store_checked_before_work(tmp_path, monkeypatch, capsys):
+    # --store and --save are gone: a baseline is a file named to compare, and
+    # each old form is a usage error before any table is computed
+    monkeypatch.setattr(cli, "profile_family", _no_work)
+    baseline = tmp_path / "base.csv"
+    baseline.write_text(GOLDEN_GROWTH)
+    store = str(tmp_path)
+    for args, message in (
+        (["growth", "--save"], "unrecognized arguments: --save"),
+        (["growth", "--save", "--store", store], f"unrecognized arguments: --save --store {store}"),
+        (["compare", str(baseline), "--store", store], f"unrecognized arguments: --store {store}"),
+        # the old compare form: its family is taken for the baseline
+        (["compare", "--family", "full_cube", "--store", store],
+         f"unrecognized arguments: --family --store {store}"),
+        (["compare"], "the following arguments are required: baseline"),
+    ):
+        code, out, err = run_cli(["bench", *args], None, monkeypatch, capsys)
+        assert (code, out, err) == (2, "", f"ValueError: {message}\n")
+    assert list(tmp_path.iterdir()) == [baseline] and baseline.read_text() == GOLDEN_GROWTH
 
-    monkeypatch.setattr(cli, "profile_family", no_work)
-    for action, message in ((["compare"], "compare needs --store"),
-                            (["growth", "--save"], "--save needs --store")):
-        code, out, err = run_cli(
-            ["bench", *action, "--family", "full_cube", "--n-min", "8", "--n-max", "9"],
-            None, monkeypatch, capsys,
-        )
-        assert (code, out) == (2, "")
-        assert err.count("\n") == 1 and message in err
+
+def _families(h, rows, first, rest):
+    return [h, *(r.replace("full_cube", first) for r in rows[:4]),
+            *(r.replace("full_cube", rest) for r in rows[4:])]
+
+
+_NOT_ONE_PER_KEY = "baseline rows are not one per n in [1, 2], algo in ['a1', 'a2'] and variant"
+
+# name, GOLDEN_GROWTH's header and rows -> the baseline's lines, and the error
+_BAD_BASELINES = [
+    ("wrong header", lambda h, rows: [h.replace("calls", "frames"), *rows],
+     "unexpected growth CSV header: ['n', 'family'"),
+    ("non-integer cell", lambda h, rows: [h, rows[0].replace(",plain,1,", ",plain,x,"), *rows[1:]],
+     "invalid literal for int() with base 10: 'x'"),
+    ("empty file", lambda h, rows: [], "unexpected growth CSV header: None"),
+    ("empty table", lambda h, rows: [h], "baseline must hold the rows of one family, got []"),
+    ("two families", lambda h, rows: _families(h, rows, "full_cube", "random_half:1"),
+     "baseline must hold the rows of one family, got ['full_cube', 'random_half:1']"),
+    ("unknown family", lambda h, rows: _families(h, rows, "half_cube", "half_cube"),
+     "bad baseline family 'half_cube'; use full_cube, random_half:SEED or worst_found"),
+    ("family not as growth writes it",
+     lambda h, rows: _families(h, rows, "random_half:07", "random_half:07"), _NOT_ONE_PER_KEY),
+    ("row deleted", lambda h, rows: [h, *rows[:-1]], _NOT_ONE_PER_KEY),
+    ("row duplicated", lambda h, rows: [h, *rows, rows[0]], _NOT_ONE_PER_KEY),
+    ("row deleted and another duplicated", lambda h, rows: [h, *rows[:-1], rows[0]],
+     _NOT_ONE_PER_KEY),
+    ("unknown algorithm", lambda h, rows: [h, *(r.replace(",a2,", ",a3,") for r in rows)],
+     "algorithms must be a1 or a2, got ('a1', 'a3')"),
+    ("n out of range", lambda h, rows: [h, *rows[:4], *("11" + r[1:] for r in rows[4:])],
+     "n=11 outside 1..10 for family full_cube"),
+]
+
+
+@pytest.mark.parametrize(
+    "edit, message", [case[1:] for case in _BAD_BASELINES], ids=[case[0] for case in _BAD_BASELINES]
+)
+def test_malformed_baseline_is_usage_error_before_work(edit, message, tmp_path, monkeypatch, capsys):
+    # a baseline comes from outside the program, so every row is checked
+    # before any row is rerun
+    header, *rows = GOLDEN_GROWTH.splitlines()
+    baseline = tmp_path / "base.csv"
+    baseline.write_text("".join(line + "\n" for line in edit(header, rows)))
+    monkeypatch.setattr("heavycol.profiling._measure", _no_work)
+    code, out, err = run_cli(["bench", "compare", str(baseline)], None, monkeypatch, capsys)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("ValueError: " + message)
 
 
 def test_bench_range_checked_before_work(monkeypatch, capsys):
@@ -431,9 +531,9 @@ def test_bench_worst_found_range_checked_before_work(tmp_path, monkeypatch, caps
         raise AssertionError("a row was measured before the range check")
 
     monkeypatch.setattr("heavycol.profiling._measure", no_work)
+    monkeypatch.chdir(tmp_path)
     code, out, err = run_cli(
-        ["bench", "growth", "--family", "worst_found", "--n-min", "1", "--n-max", "5",
-         "--save", "--store", str(tmp_path)],
+        ["bench", "growth", "--family", "worst_found", "--n-min", "1", "--n-max", "5"],
         None, monkeypatch, capsys,
     )
     assert (code, out) == (2, "")
@@ -471,23 +571,20 @@ def test_bench_worst_found_needs_no_store(monkeypatch, capsys):
     assert (code, _masked(out), err) == (0, GOLDEN_WORST_FOUND, "")
 
 
-def test_bench_store_holds_baselines_only(tmp_path, monkeypatch, capsys):
-    # growth reads --store only to --save a baseline there; without --save the
-    # flag used to be accepted and ignored, exiting 0, as a 3-column matrix
-    # filed as a1's n=2 specimen was once measured and printed as the n=2 row
-    args = ["bench", "growth", "--family", "worst_found", "--n-min", "1", "--n-max", "3",
-            "--store", str(tmp_path)]
-    planted = tmp_path / "worst_a1_n2.txt"
-    planted.write_text("101\n011\n111\n")
+def test_bench_growth_writes_no_file(tmp_path, monkeypatch, capsys):
+    # growth prints its table and writes nothing (a --save once wrote it to a
+    # digest-named file in a --store directory); compare reads that output
+    # back, harvesting worst_found's matrices again
+    monkeypatch.chdir(tmp_path)
+    args = ["bench", "growth", "--family", "worst_found", "--n-min", "1", "--n-max", "3"]
     code, out, err = run_cli(args, None, monkeypatch, capsys)
-    assert (code, out) == (2, "")
-    assert err == "ValueError: --store needs --save; growth reads no baseline\n"
-    assert list(tmp_path.iterdir()) == [planted]
     golden = "".join(GOLDEN_WORST_FOUND.splitlines(keepends=True)[:13])
-    code, out, err = run_cli([*args, "--save"], None, monkeypatch, capsys)
-    assert (code, _masked(out)) == (0, golden) and "baseline written" in err
-    (saved,) = tmp_path.glob("growth_*.csv")
-    assert sorted(tmp_path.iterdir()) == sorted([planted, saved])
+    assert (code, _masked(out), err) == (0, golden, "")
+    assert list(tmp_path.iterdir()) == []
+    (tmp_path / "worst.csv").write_text(out)
+    code, out, err = run_cli(["bench", "compare", "worst.csv"], None, monkeypatch, capsys)
+    assert (code, out.splitlines()[-1], err) == (0, "clean", "")
+    assert list(tmp_path.iterdir()) == [tmp_path / "worst.csv"]
 
 
 @pytest.mark.parametrize("args, stdin, message", [
@@ -513,6 +610,9 @@ _UNREAD_FLAGS = [
     (["explore", "converse", "--perm-budget", "-3"], "--perm-budget"),
     (["explore", "converse", "--perm-budget", "5"], "--perm-budget"),
     (["bench", "compare", "--save"], "--save"),
+    (["bench", "compare", "--family", "full_cube"], "--family"),
+    (["bench", "compare", "--n-max", "2"], "--n-max"),
+    (["bench", "compare", "--algo", "a1"], "--algo"),
     (["bench", "growth"], "--store"),
 ]
 
@@ -522,17 +622,16 @@ _UNREAD_FLAGS = [
 )
 def test_flag_the_target_does_not_read_is_usage_error(args, flag, tmp_path, monkeypatch, capsys):
     # each of these used to be accepted and ignored (remark scans one fixed
-    # matrix, converse permutes nothing, compare saves nothing, growth without
-    # --save reads no store), exiting 0
-    store = ["--n-max", "2", "--store", str(tmp_path)] if args[0] == "bench" else []
-    if store:
-        assert run_cli(["bench", "growth", "--save", *store], None, monkeypatch, capsys)[0] == 0
-    saved = {path: path.read_bytes() for path in tmp_path.iterdir()}
-    assert bool(saved) == bool(store)
-    code, out, err = run_cli([*args, *store], None, monkeypatch, capsys)
+    # matrix, converse permutes nothing, compare saved nothing and takes its
+    # rows from the baseline, growth keeps no store), exiting 0; bench growth's
+    # case is the --store below
+    baseline = tmp_path / "base.csv"
+    baseline.write_text(GOLDEN_GROWTH)
+    extra = {"compare": [str(baseline)], "growth": ["--n-max", "2", "--store", str(tmp_path)]}
+    code, out, err = run_cli([*args, *extra.get(args[1], [])], None, monkeypatch, capsys)
     assert (code, out) == (2, "")
     assert err.count("\n") == 1 and flag in err
-    assert {path: path.read_bytes() for path in tmp_path.iterdir()} == saved
+    assert list(tmp_path.iterdir()) == [baseline] and baseline.read_text() == GOLDEN_GROWTH
 
 
 _ARGPARSE_ERRORS = [
@@ -730,6 +829,9 @@ GOLDEN_STDOUT = [
     )),
 ]
 
+# `bench growth --n-max 2`, elapsed_ns masked: a well-formed baseline
+GOLDEN_GROWTH = dict((" ".join(args), out) for args, _, out in GOLDEN_STDOUT)["bench growth --n-max 2"]
+
 GOLDEN_COMPARE = (
     '{"behavioral": [{"baseline": 99, "current": 1, "field": "calls", "key": ["full_cube", '
     '1, "a1", "plain"]}], "clean": false, "informational": [{"baseline": null, "current": 0, '
@@ -761,14 +863,14 @@ def test_output_bytes_are_golden(args, code, expected, monkeypatch, capsys):
 def test_bench_compare_bytes_are_golden(tmp_path, monkeypatch, capsys):
     # the baseline loses its timings and gains one wrong call count, so both
     # entry lists are fixed: one behavioral change, one null-based drift per row
-    base = ["--algo", "a1", "--n-max", "2", "--store", str(tmp_path)]
-    assert run_cli(["bench", "growth", "--save", *base], None, monkeypatch, capsys)[0] == 0
-    (path,) = tmp_path.glob("growth_*.csv")
-    header, *rows = path.read_text().splitlines()
+    code, out, _ = run_cli(["bench", "growth", "--algo", "a1", "--n-max", "2"], None, monkeypatch, capsys)
+    assert code == 0
+    header, *rows = out.splitlines()
     rows = [row.rsplit(",", 1)[0] + "," for row in rows]
     rows[0] = rows[0].replace(",plain,1,", ",plain,99,")
+    path = tmp_path / "base.csv"
     path.write_text("\n".join([header, *rows]) + "\n")
-    code, out, _ = run_cli(["bench", "compare", "--json", *base], None, monkeypatch, capsys)
+    code, out, _ = run_cli(["bench", "compare", "--json", str(path)], None, monkeypatch, capsys)
     assert (code, _masked(out)) == (1, GOLDEN_COMPARE)
 
 

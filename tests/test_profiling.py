@@ -13,14 +13,7 @@ from heavycol import (
     snapshot_compare,
 )
 from heavycol.algorithms import BudgetExceeded
-from heavycol.profiling import (
-    MissingBaseline,
-    _family_matrix,
-    baseline_path,
-    harvest_worst,
-    load_baseline,
-    save_baseline,
-)
+from heavycol.profiling import _family_matrix, harvest_worst, rerun_spec
 
 
 @pytest.fixture(scope="module")
@@ -90,7 +83,7 @@ def test_budget_must_be_positive():
 def test_timeout_marks_row_and_keeps_table():
     table = profile_family("full_cube", [8], algos=("a1",), budget_ns=20_000_000)
     row = table.key_map()[("full_cube", 8, "a1", "plain")]
-    assert row.timed_out and row.calls is None
+    assert row.calls is None
     assert len(table.rows) == 2  # memoized row still present
     assert ",a1,plain,,,," in table.to_csv()
     assert GrowthTable.from_csv(table.to_csv()) == table
@@ -104,7 +97,7 @@ def test_budget_counts_the_root_build():
     with pytest.raises(BudgetExceeded):
         run_a1(matrix, budget_ns=1_000_000)
     table = profile_family(("random_half", 1), [16], algos=("a1",), budget_ns=1_000_000)
-    assert table.key_map()[("random_half:1", 16, "a1", "plain")].timed_out
+    assert table.key_map()[("random_half:1", 16, "a1", "plain")].calls is None
 
 
 def test_budget_checked_at_a_root_that_ends_at_a_base_case():
@@ -141,6 +134,16 @@ def test_snapshot_compare_clean_and_flags(cube_table):
     assert not diff.clean
     assert [(e.field, e.baseline, e.current) for e in diff.behavioral] == [("calls", 5, 6)]
 
+    deeper = GrowthTable(tuple(
+        dataclasses.replace(r, max_depth=r.max_depth + 1)
+        if r.key() == ("full_cube", 3, "a2", "memoized") else r
+        for r in cube_table.rows
+    ))
+    diff = snapshot_compare(deeper, cube_table)
+    assert [(e.key, e.field, e.baseline, e.current) for e in diff.behavioral] == [
+        (("full_cube", 3, "a2", "memoized"), "max_depth", 2, 3)
+    ]
+
     drifted = GrowthTable(tuple(
         dataclasses.replace(r, elapsed_ns=(r.elapsed_ns or 0) + 1) for r in cube_table.rows
     ))
@@ -148,18 +151,26 @@ def test_snapshot_compare_clean_and_flags(cube_table):
     assert diff.clean and len(diff.informational) == len(cube_table.rows)
 
 
-def test_missing_baseline(cube_table, tmp_path):
-    with pytest.raises(MissingBaseline):
+def test_missing_baseline(cube_table):
+    # a row the baseline lacks is malformed input, like any other
+    with pytest.raises(ValueError, match=r"baseline has no row for \('full_cube', 4, 'a1', 'plain'\)"):
         snapshot_compare(profile_family("full_cube", [4], algos=("a1",)), cube_table)
-    with pytest.raises(MissingBaseline):
-        load_baseline(tmp_path, "full_cube", range(1, 4), ("a1", "a2"))
 
 
-def test_baseline_store_roundtrip(cube_table, tmp_path):
-    path = save_baseline(cube_table, tmp_path, "full_cube", range(1, 4), ("a1", "a2"))
-    assert path == baseline_path(tmp_path, "full_cube", range(1, 4), ("a1", "a2"))
-    loaded = load_baseline(tmp_path, "full_cube", range(1, 4), ("a1", "a2"))
-    assert snapshot_compare(cube_table, loaded).clean
+def test_baseline_store_roundtrip(cube_table):
+    # a baseline is the table's own CSV, and its rows name what to rerun
+    loaded = GrowthTable.from_csv(cube_table.to_csv())
+    assert rerun_spec(loaded) == ("full_cube", [1, 2, 3], ("a1", "a2"))
+    assert snapshot_compare(profile_family(*rerun_spec(loaded)[:2]), loaded).clean
+    half = profile_family(("random_half", 9), [2, 4], algos=("a2",))
+    assert rerun_spec(half) == (("random_half", 9), [2, 4], ("a2",))
+
+
+def test_unknown_algorithm_rejected():
+    # "a3" used to run a2's plain recursion under a3's name
+    for algos in (("a3",), ("a1", "a3"), ()):
+        with pytest.raises(ValueError, match="algorithms must be a1 or a2"):
+            profile_family("full_cube", [1], algos=algos)
 
 
 def test_worst_found_family(tmp_path, monkeypatch):

@@ -262,6 +262,28 @@ MUTANTS = [
         (f"{PROF}::test_worst_found_family",),
     ),
     Mutant(
+        # a max_depth change passes compare as clean
+        "compare-ignores-max-depth", "profiling.py",
+        '_BEHAVIORAL_FIELDS = ("m", "calls", "cache_hits", "max_depth")',
+        '_BEHAVIORAL_FIELDS = ("m", "calls", "cache_hits")',
+        (f"{PROF}::test_snapshot_compare_clean_and_flags",),
+    ),
+    Mutant(
+        # a baseline with a row deleted reaches the rerun, one with a row
+        # duplicated compares clean
+        "baseline-shape-unchecked", "profiling.py",
+        "    if sorted(r.key() for r in baseline.rows) != sorted(want):",
+        "    if False:",
+        (f"{CLI}::test_malformed_baseline_is_usage_error_before_work[row deleted]",
+         f"{CLI}::test_malformed_baseline_is_usage_error_before_work[row duplicated]"),
+    ),
+    Mutant(
+        # --n-min above --n-max reaches profile_family, whose message names no flag
+        "growth-range-flags-unchecked", "cli.py",
+        "        if args.n_min > args.n_max:", "        if False:",
+        (f"{CLI}::test_bench_empty_range_is_usage_error",),
+    ),
+    Mutant(
         # analyze's row index keeps the last of repeated rows, not the first
         "analyze-last-occurrence", "cli.py",
         "first.setdefault(r, i)", "first[r] = i",
