@@ -52,7 +52,10 @@ and it is the listings alone.  A run's plan names the one function that every
 frame below its root goes through: ``_tabled`` (the sub-frame table) for a
 value-position run, ``_memoized`` (the memo cache) for a memoized run, and
 ``_certify`` itself for any other.  Each cache wraps ``_certify`` and runs it
-on a miss.
+on a miss.  Every frame returns its subtree's ``(value, calls, height)``: the
+verdict, its frames with itself included, and the levels below it.  A parent
+adds each child's ``calls`` and raises its own height to the child's plus
+one, so no frame knows its depth; the root's height is the run's max_depth.
 
 Verdicts carry a witness naming the return site above (tag plus line number
 and the triggering column where one exists) and recursion statistics (calls,
@@ -60,11 +63,11 @@ max_depth, cache_hits), and no time: a verdict is determined by the
 procedure, the matrix and the column order, so two runs of one matrix give
 equal verdicts.  Verdicts are frozen and shared: a run looks its own up once,
 by (procedure, value, tag, column, calls, max_depth, cache_hits), in a
-bounded cache that builds it on a miss, with the witness from a cache keyed
-by (procedure, value, tag, column) that picks the line from the procedure's
-listing.  A caller that reports a run's time measures it itself, as the
-``check`` and ``bench growth`` commands do; a run reads the clock only under
-a budget.
+bounded cache that builds it, and its witness with the line from the
+procedure's listing, on a miss.  The root finishes last of its frames, so the
+(tag, column) that every frame leaves on the run is the root's.  A caller
+that reports a run's time measures it itself, as the ``check`` and ``bench
+growth`` commands do; a run reads the clock only under a budget.
 
 ``run_a1``/``run_a2`` take one validated ``BinaryMatrix``; below that root a
 frame is an int ``mask`` of root row positions (bit i for root row i+1) plus
@@ -80,12 +83,11 @@ occurrence and row order plays no part, exactly as with explicit row lists.
 Leaf children are counted, not called.  A child with one column returns the
 line-10/20 heavy test its parent has just passed (True), and under a2 a child
 with one row and more than one column returns True at line 1; neither goes
-through a frame cache.  So the parent adds such a child to ``calls`` at
-depth + 1 (raising ``max_depth`` to it) and goes on, and ``_certify`` only
-ever runs on frames with at least two columns (and, under a2, at least two
-rows) below the root.  ``calls`` still counts every frame of the listings,
-leaves included, and ``max_depth``, ``cache_hits``, verdicts and witnesses
-are those of the listings' recursion.
+through a frame cache.  So the parent adds such a child to its ``calls``,
+makes its own height at least 1 and goes on, and ``_certify`` only ever runs
+on frames with at least two columns (and, under a2, at least two rows) below
+the root.  ``calls``, ``max_depth``, ``cache_hits``, verdicts and witnesses
+are still those of the listings' recursion, leaves included.
 
 Value positions.  A plain run (no ``memoize``) of a root with distinct rows
 and n <= 7 columns recurses on row values instead: ``mask`` is the row-set
@@ -95,22 +97,19 @@ the constant tuple of ``O_k``, the values in 0..2^n - 1 with a one in column
 k, from ``matrix.VALUE_COLUMNS``, the table the scans' constraint filter
 reads too.  Every popcount is the one the row positions give, so verdicts,
 witnesses, ``calls`` and ``max_depth`` are unchanged by construction.  A
-non-root frame ``(mask, cols)`` is then the same whichever root of that width
-it sits under, and a frame of at most 3 columns keys one table per process
-for each (procedure, column order, n).  An
-entry is ``(value, calls, height)``: the verdict, the frames of the subtree
-and its depth below the frame.  A hit adds ``calls`` and raises ``max_depth``
-to depth + height; a miss runs the frame and stores its entry only once the
-subtree has finished, so a ``BudgetExceeded`` leaves no partial entry.  Wider
-frames below the root, which only roots of 5 to 7 columns have, run
-``_certify`` each time: ``_tabled`` tests the width first and hands them
-straight on (tabling them too was measured no faster, and its table grows
-with the scan).  A table's keys lie in the 3- and 2-column subcubes of its
-root, C(n,3) * 2^(n-3) subcubes of 8 values and C(n,2) * 2^(n-2) of 4, so it
-holds at most C(n,3) * 2^(n-3) * 255 + C(n,2) * 2^(n-2) * 15 entries: 2,400
-at n = 4, 11,400 at n = 5, 44,400 at n = 6 and 152,880 at n = 7.  Memoized
-runs (whose ``cache_hits`` must not move), duplicate-row roots and roots
-wider than 7 columns never use a table and keep the row-position recursion.
+non-root frame ``(mask, cols)``, and so what it returns, is then the same
+whichever root of that width it sits under, and a frame of at most 3 columns
+keys one table per process for each (procedure, column order, n).  The table
+keeps what ``_certify`` returned and a hit returns it as it is; a miss stores
+it once the subtree has finished, so a ``BudgetExceeded`` leaves no partial
+entry.  Wider frames below the root, which only roots of 5 to 7 columns
+have, run ``_certify`` each time (tabling them too was measured no faster,
+and its table grows with the scan).  A table's keys lie in the 3- and
+2-column subcubes of its root, C(n,3) * 2^(n-3) subcubes of 8 values and
+C(n,2) * 2^(n-2) of 4, so it holds at most C(n,3) * 2^(n-3) * 255 +
+C(n,2) * 2^(n-2) * 15 entries: 2,400 at n = 4, 11,400 at n = 5, 44,400 at
+n = 6 and 152,880 at n = 7.  Memoized runs (whose ``cache_hits`` must not
+move), duplicate-row roots and roots wider than 7 columns never use a table.
 
 Memoized runs produce identical verdict values.  The cache is private to one
 run, whose algorithm and column order are fixed, and keyed on the frame
@@ -119,11 +118,10 @@ keys are equal row multisets, and verdicts are row-permutation invariant.  A
 memoized root's rows are sorted, so every repeated frame hits: a frame's rows
 agree on each deleted column, and deleting bits on which two integers agree
 keeps their order, so its rows in root order are its projected rows sorted.
-The root is not keyed: no other frame has its width.  The width fixes the
-depth (root n minus n), so the frame that stored a key has already raised
-``max_depth`` to the depth of every frame that hits it, and a hit is one call
-plus one cache hit at that depth and nothing else: it runs no frame, so it
-skips the budget clock, which its parent has just read.
+The root is not keyed: no other frame has its width.  A hit is what the
+listings count, one call and one cache hit with nothing below it, so a miss
+stores the constant ``(value, 1, 0)`` for its hits to return.  A hit runs no
+frame, so it skips the budget clock, which its parent has just read.
 """
 
 from __future__ import annotations
@@ -242,34 +240,26 @@ def _orders(order: ColumnOrder, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(_order_for(order, w) for w in range(n + 1))
 
 
-@lru_cache(maxsize=None)
-def _witness(a2: bool, value: bool, tag: str, col: int | None) -> Witness:
-    """The witness of a return site, one shared instance per site and column."""
-    return Witness(tag, col, (_A2_LINES if a2 else _A1_LINES)[tag, value])
-
-
 @lru_cache(maxsize=256)
 def _verdict(
     a2: bool, value: bool, tag: str, col: int | None, calls: int, max_depth: int, cache_hits: int
 ) -> Verdict:
     """A run's verdict: one shared instance per outcome and statistics while
     it is among the 256 most recently returned; a miss builds it."""
-    return Verdict(value, _witness(a2, value, tag, col), RecursionStats(calls, max_depth, cache_hits))
+    witness = Witness(tag, col, (_A2_LINES if a2 else _A1_LINES)[tag, value])
+    return Verdict(value, witness, RecursionStats(calls, max_depth, cache_hits))
 
 
 class _Run:
-    """Mutable per-run context: a1 or a2, statistics, the root's (tag, column)
-    witness, budget deadline, and the run's plan: its column orders, its one
-    frame cache (a value-position run's sub-frame table, a memoized run's
-    private memo cache, or None) and the one frame function that every frame
-    below the root goes through (``_tabled``, ``_memoized`` or ``_certify``).
-    `_run` fills every slot itself but ``witness``, which the root frame sets:
-    an ``__init__`` call costs about a twentieth of a U(4) run."""
+    """Mutable per-run context: a1 or a2, memo cache hits, the root's (tag,
+    column) witness, budget deadline, and the run's plan: its column orders,
+    its frame cache (a value-position run's table, a memoized run's private
+    memo cache, or None) and the frame function every frame below the root
+    goes through (``_tabled``, ``_memoized`` or ``_certify``).  `_run` fills
+    every slot but ``witness``, which the frames set, the root last: an
+    ``__init__`` call costs about a twentieth of a U(4) run."""
 
-    __slots__ = (
-        "a2", "calls", "max_depth", "cache_hits", "orders", "deadline", "witness",
-        "table", "recurse",
-    )
+    __slots__ = ("a2", "cache_hits", "orders", "deadline", "witness", "table", "recurse")
 
 
 def _heavy(mask: int, count: int, cols) -> bool:
@@ -287,25 +277,24 @@ def _memo_key(mask: int, cols) -> tuple[str, ...]:
     return tuple(["".join(compress(format(mask & c, width), keep)) for c in cols])
 
 
-def _certify(mask: int, cols: tuple, depth: int, ctx: _Run) -> bool:
+def _certify(mask: int, cols: tuple, ctx: _Run) -> tuple:
     """One frame of a1, or of a2 when ``ctx.a2`` adds lines 13-14, with at
-    least two columns; its leaf children are counted without a call."""
-    ctx.calls += 1
-    if depth > ctx.max_depth:
-        ctx.max_depth = depth
+    least two columns: its subtree's ``(value, calls, height)``.  Leaf children
+    are counted without a call."""
     if ctx.deadline is not None and time.perf_counter_ns() >= ctx.deadline:
         raise BudgetExceeded("run exceeded its wall-clock budget")
     a2 = ctx.a2
     count = mask.bit_count()
     n = len(cols)
     value, tag, col = True, EXHAUSTED_TRUE, None
+    calls, height = 1, 0
     recurse = ctx.recurse
     for k in ctx.orders[n]:
         m1 = mask & cols[k - 1]
         m0 = mask ^ m1
         zeros = m0.bit_count()
         if a2 and zeros == 1:
-            value, tag, col = True, KEY_CONDITION, k
+            tag, col = KEY_CONDITION, k
             break
         ones = count - zeros
         child = cols[: k - 1] + cols[k:]
@@ -319,59 +308,53 @@ def _certify(mask: int, cols: tuple, depth: int, ctx: _Run) -> bool:
             # a2's one-row child returns True at line 1; its zero side never
             # has one row here, since that is the key condition
             leaves = a2 and ones == 1
-            if (m0 and not recurse(m0, child, depth + 1, ctx)) or (
-                m1 and not leaves and not recurse(m1, child, depth + 1, ctx)
-            ):
-                value, tag, col = False, CHILD_FALSE, k
+            if m0:
+                value, sub_calls, h = recurse(m0, child, ctx)
+                calls += sub_calls
+                if h >= height:
+                    height = h + 1
+            if value and m1 and not leaves:
+                value, sub_calls, h = recurse(m1, child, ctx)
+                calls += sub_calls
+                if h >= height:
+                    height = h + 1
+            if not value:
+                tag, col = CHILD_FALSE, k
                 break
         if leaves:
-            ctx.calls += leaves
-            if depth >= ctx.max_depth:
-                ctx.max_depth = depth + 1
-    if depth == 0:
-        ctx.witness = (tag, col)
-    return value
+            calls += leaves
+            if not height:
+                height = 1
+    # the root finishes last, so the witness it leaves is the run's
+    ctx.witness = tag, col
+    return value, calls, height
 
 
-def _tabled(mask: int, cols: tuple, depth: int, ctx: _Run) -> bool:
-    """A non-root frame of a value-position run.  A frame of more than
-    _TABLE_MAX_N columns runs ``_certify``; a narrower one is served from the
-    run's table: a hit adds the subtree's frames and height as if it had run;
-    a miss runs ``_certify`` and stores the entry once the subtree has finished."""
+def _tabled(mask: int, cols: tuple, ctx: _Run) -> tuple:
+    """A non-root frame of a value-position run: one of more than _TABLE_MAX_N
+    columns runs ``_certify``, and a narrower one returns what ``_certify``
+    returned for it, kept in the run's table once its subtree had finished."""
     if len(cols) > _TABLE_MAX_N:
-        return _certify(mask, cols, depth, ctx)
+        return _certify(mask, cols, ctx)
     key = (mask, cols)
     entry = ctx.table.get(key)
     if entry is None:
-        outer, calls = ctx.max_depth, ctx.calls
-        ctx.max_depth = depth
-        value = _certify(mask, cols, depth, ctx)
-        ctx.table[key] = (value, ctx.calls - calls, ctx.max_depth - depth)
-        if outer > ctx.max_depth:
-            ctx.max_depth = outer
-        return value
-    value, calls, height = entry
-    ctx.calls += calls
-    if depth + height > ctx.max_depth:
-        ctx.max_depth = depth + height
-    return value
+        entry = ctx.table[key] = _certify(mask, cols, ctx)
+    return entry
 
 
-def _memoized(mask: int, cols: tuple, depth: int, ctx: _Run) -> bool:
+def _memoized(mask: int, cols: tuple, ctx: _Run) -> tuple:
     """A non-root frame of a memoized run, keyed on its rows read column by
-    column: equal keys always mean equal rows, and the sorted root makes every
-    repeated frame hit.  A miss runs ``_certify`` and stores its verdict; a
-    hit is one call and one cache hit.  The width fixes the depth, so the
-    key's first frame has already raised ``max_depth`` to this one, and the
-    parent has just read the budget clock."""
+    column (equal keys always mean equal rows).  A miss runs ``_certify`` and
+    stores what a hit returns: its verdict as one call with nothing below it."""
     key = _memo_key(mask, cols)
-    value = ctx.table.get(key)
-    if value is None:
-        value = ctx.table[key] = _certify(mask, cols, depth, ctx)
-    else:
-        ctx.calls += 1
+    hit = ctx.table.get(key)
+    if hit is not None:
         ctx.cache_hits += 1
-    return value
+        return hit
+    entry = _certify(mask, cols, ctx)
+    ctx.table[key] = (True, 1, 0) if entry[0] else (False, 1, 0)
+    return entry
 
 
 # Roots up to this width with distinct rows recurse on value positions; below
@@ -424,10 +407,10 @@ def _run(
         return _verdict(a2, _heavy(mask, m, cols), N1_BASE, 1, 1, 0, 0)
     ctx = object.__new__(_Run)
     ctx.a2, ctx.orders, ctx.deadline, ctx.table, ctx.recurse = a2, orders, deadline, table, recurse
-    ctx.calls = ctx.max_depth = ctx.cache_hits = 0
-    value = _certify(mask, cols, 0, ctx)
+    ctx.cache_hits = 0
+    value, calls, height = _certify(mask, cols, ctx)
     tag, col = ctx.witness
-    return _verdict(a2, value, tag, col, ctx.calls, ctx.max_depth, ctx.cache_hits)
+    return _verdict(a2, value, tag, col, calls, height, ctx.cache_hits)
 
 
 def run_a1(

@@ -284,6 +284,8 @@ def _cmd_analyze(args) -> int:
             raise ValueError(f"bad --trace-at {args.trace_at!r}; use ROW:COL") from None
         trace = sequential_reduction(matrix, i, l)
     if args.json:
+        if args.trace or trace is not None:
+            raise ValueError(f"{'--trace' if args.trace else '--trace-at'} is not read with --json")
         print(to_json(report_dict(matrix, "oracle")))
         return 0
     props = matrix_properties(matrix)

@@ -74,6 +74,7 @@ class GrowthTable:
 
     @classmethod
     def from_csv(cls, text: str) -> "GrowthTable":
+        """The table `to_csv` wrote as `text`; a malformed line is a ValueError naming it."""
         reader = csv.reader(io.StringIO(text))
         header = next(reader, None)
         if header != CSV_HEADER:
@@ -81,14 +82,26 @@ class GrowthTable:
         rows = []
         for rec in reader:
             if rec:
-                rows.append(GrowthRow(*(
-                    cell if f.type == "str" else int(cell) if cell or f.type == "int" else None
-                    for f, cell in zip(fields(GrowthRow), rec, strict=True)
-                )))
+                try:
+                    rows.append(_parse_row(rec))
+                except ValueError as exc:
+                    raise ValueError(f"{exc} (baseline line {reader.line_num})") from None
         return cls(tuple(rows))
 
     def key_map(self) -> dict[tuple, GrowthRow]:
         return {r.key(): r for r in self.rows}
+
+
+def _parse_row(cells: list[str]) -> GrowthRow:
+    """One CSV record as a row: its counts all set, or all blank (timed out);
+    a blank elapsed_ns alone is a baseline with its timings stripped."""
+    if len(cells) != len(CSV_HEADER):
+        raise ValueError(f"row has {len(cells)} cells, not {len(CSV_HEADER)}")
+    n, family, m, algo, variant, *metrics = cells
+    counts = metrics[:3]
+    if "" in counts and any(counts):
+        raise ValueError(f"row has blank and set counts {counts}")
+    return GrowthRow(int(n), family, int(m), algo, variant, *(int(c) if c else None for c in metrics))
 
 
 def family_label(family) -> str:

@@ -150,6 +150,15 @@ def test_analyze_trace_at_checked_before_output(monkeypatch, capsys):
             assert err.count("\n") == 1 and message in err
 
 
+@pytest.mark.parametrize("flags", [["--trace"], ["--trace-at", "1:2"]], ids=["--trace", "--trace-at"])
+def test_analyze_json_reads_no_trace_flag(flags, monkeypatch, capsys):
+    # the JSON document is the oracle report, with no trace in it; both used
+    # to exit 0 and print it, the anchor dropped
+    code, out, err = run_cli(["analyze", "--json", *flags, "-"], "00\n01\n10\n", monkeypatch, capsys)
+    assert (code, out) == (2, "")
+    assert err == f"ValueError: {flags[0]} is not read with --json\n"
+
+
 def test_analyze_trace_at_in_range(monkeypatch, capsys):
     code, out, _ = run_cli(["analyze", "--trace-at", "1:2", "-"], "00\n01\n10\n", monkeypatch, capsys)
     assert code == 0
@@ -492,6 +501,14 @@ _BAD_BASELINES = [
      "algorithms must be a1 or a2, got ('a1', 'a3')"),
     ("n out of range", lambda h, rows: [h, *rows[:4], *("11" + r[1:] for r in rows[4:])],
      "n=11 outside 1..10 for family full_cube"),
+    # these three used to give a zip() message naming no line, and a
+    # behavioural change `cache_hits: None -> 0` with exit 1
+    ("too few cells", lambda h, rows: [h, rows[0], rows[1].rsplit(",", 1)[0], *rows[2:]],
+     "row has 8 cells, not 9 (baseline line 3)"),
+    ("too many cells", lambda h, rows: [h, *rows[:2], rows[2] + ",0", *rows[3:]],
+     "row has 10 cells, not 9 (baseline line 4)"),
+    ("partly blank counts", lambda h, rows: [h, rows[0].replace(",plain,1,0,", ",plain,1,,"), *rows[1:]],
+     "row has blank and set counts ['1', '', '0'] (baseline line 2)"),
 ]
 
 

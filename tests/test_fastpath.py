@@ -257,6 +257,26 @@ def test_fresh_and_warm_tables_agree():
         assert 0 < len(_value_plan(a2, ASCENDING, 4)[1]) <= _table_bound(4) == 2_400
 
 
+def test_table_entries_are_their_frames_run_as_roots():
+    # an entry is what its frame returned: the verdict, calls and height of
+    # the frame's rows projected to its remaining columns, run as a root
+    explicit = explicit_order((3, 1, 4, 2))
+    _value_plan.cache_clear()
+    for m in _u4():
+        _fast("a1", m), _fast("a1", m, explicit), _fast("a2", m)
+    checked = 0
+    for algo, order in (("a1", ASCENDING), ("a1", explicit), ("a2", ASCENDING)):
+        table = _value_plan(algo == "a2", order, 4)[1]
+        for (mask, cols), entry in table.items():
+            values = [v for v in range(16) if mask >> v & 1]
+            rows = tuple(sum(1 << j for j, c in enumerate(cols) if c >> v & 1) for v in values)
+            frame = BinaryMatrix(rows, len(cols))
+            value, *_, calls, max_depth, _ = _reference(algo, frame, order)
+            assert entry == (value, calls, max_depth), (algo, order, rows, len(cols))
+            checked += 1
+    assert checked == 3_555
+
+
 def _table_bound(n):
     """Most keys a table of n-column roots can hold: a tabled frame has 3 or 2
     columns and a nonempty set of the 8 or 4 values of one subcube (the

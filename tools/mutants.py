@@ -53,7 +53,7 @@ MUTANTS = [
     ),
     Mutant(
         "key-condition-at-depth-0-only", "algorithms.py",
-        "if a2 and zeros == 1:", "if a2 and zeros == 1 and depth == 0:",
+        "if a2 and zeros == 1:", "if a2 and zeros == 1 and n == len(ctx.orders) - 1:",
         (f"{FAST}::test_all_of_small_universes[3]", f"{FAST}::test_duplicate_rows_and_row_order"),
     ),
     Mutant(
@@ -76,39 +76,67 @@ MUTANTS = [
          f"{FAST}::test_full_cube_growth_follows_its_recurrences"),
     ),
     Mutant(
+        # a memo hit returns its verdict as no call
         "memo-hit-not-counted", "algorithms.py",
-        "    else:\n        ctx.calls += 1\n        ctx.cache_hits += 1\n",
-        "    else:\n        ctx.cache_hits += 1\n",
+        "ctx.table[key] = (True, 1, 0) if entry[0] else (False, 1, 0)",
+        "ctx.table[key] = (True, 0, 0) if entry[0] else (False, 0, 0)",
         (f"{FAST}::test_memo_key_is_the_projected_row_multiset",
          f"{FAST}::test_full_cube_growth_follows_its_recurrences"),
     ),
     Mutant(
         "memo-miss-not-stored", "algorithms.py",
-        "value = ctx.table[key] = _certify(mask, cols, depth, ctx)",
-        "value = _certify(mask, cols, depth, ctx)",
+        "    ctx.table[key] = (True, 1, 0) if entry[0] else (False, 1, 0)\n", "",
         (f"{FAST}::test_memo_key_is_the_projected_row_multiset",
          f"{FAST}::test_full_cube_growth_follows_its_recurrences",
          f"{FAST}::test_all_of_small_universes[3]"),
     ),
     Mutant(
+        # a memo hit returns the subtree totals of the miss that stored it
+        "memo-hit-replays-subtree", "algorithms.py",
+        "ctx.table[key] = (True, 1, 0) if entry[0] else (False, 1, 0)", "ctx.table[key] = entry",
+        (f"{FAST}::test_memo_key_is_the_projected_row_multiset",
+         f"{FAST}::test_full_cube_growth_follows_its_recurrences"),
+    ),
+    Mutant(
         # one frame function serves a1 and a2, so both visit 1 before 0
         "children-1-before-0", "algorithms.py",
-        "if (m0 and not recurse(m0, child, depth + 1, ctx)) or (\n"
-        "                m1 and not leaves and not recurse(m1, child, depth + 1, ctx)\n"
-        "            ):",
-        "if (m1 and not leaves and not recurse(m1, child, depth + 1, ctx)) or (\n"
-        "                m0 and not recurse(m0, child, depth + 1, ctx)\n"
-        "            ):",
+        "            if m0:\n"
+        "                value, sub_calls, h = recurse(m0, child, ctx)\n"
+        "                calls += sub_calls\n"
+        "                if h >= height:\n"
+        "                    height = h + 1\n"
+        "            if value and m1 and not leaves:\n"
+        "                value, sub_calls, h = recurse(m1, child, ctx)\n",
+        "            if m1 and not leaves:\n"
+        "                value, sub_calls, h = recurse(m1, child, ctx)\n"
+        "                calls += sub_calls\n"
+        "                if h >= height:\n"
+        "                    height = h + 1\n"
+        "            if value and m0:\n"
+        "                value, sub_calls, h = recurse(m0, child, ctx)\n",
         (f"{FAST}::test_all_of_small_universes[3]", f"{FAST}::test_a1_every_explicit_order[3]"),
     ),
     Mutant(
+        # the zero child's height is taken as the parent's
+        "child-height-not-raised", "algorithms.py",
+        "recurse(m0, child, ctx)\n"
+        "                calls += sub_calls\n"
+        "                if h >= height:\n"
+        "                    height = h + 1\n",
+        "recurse(m0, child, ctx)\n"
+        "                calls += sub_calls\n"
+        "                if h >= height:\n"
+        "                    height = h\n",
+        (f"{FAST}::test_all_of_small_universes[3]", f"{FAST}::test_full_cube_up_to_6"),
+    ),
+    Mutant(
         "leaf-children-not-counted", "algorithms.py",
-        "ctx.calls += leaves", "ctx.calls += 0",
+        "calls += leaves", "calls += 0",
         (f"{FAST}::test_all_of_small_universes[2]", f"{FAST}::test_full_cube_up_to_6"),
     ),
     Mutant(
         "leaf-depth-not-raised", "algorithms.py",
-        "ctx.max_depth = depth + 1", "ctx.max_depth = depth",
+        "            if not height:\n                height = 1\n", "",
         (f"{FAST}::test_all_of_small_universes[2]", f"{FAST}::test_full_cube_up_to_6"),
     ),
     Mutant(
@@ -147,7 +175,9 @@ MUTANTS = [
     ),
     Mutant(
         "table-hit-skips-height", "algorithms.py",
-        "    if depth + height > ctx.max_depth:\n        ctx.max_depth = depth + height\n", "",
+        "        entry = ctx.table[key] = _certify(mask, cols, ctx)\n    return entry\n",
+        "        return ctx.table.setdefault(key, _certify(mask, cols, ctx))\n"
+        "    return entry[0], entry[1], 0\n",
         (f"{FAST}::test_all_of_small_universes[3]", f"{FAST}::test_a1_every_explicit_order[3]"),
     ),
     Mutant(
@@ -260,6 +290,12 @@ MUTANTS = [
         "worst-found-ignores-algo", "profiling.py",
         'run = run_a1 if algo == "a1" else run_a2', "run = run_a1",
         (f"{PROF}::test_worst_found_family",),
+    ),
+    Mutant(
+        # a row with some counts blank reads as a behavioural change, exit 1
+        "baseline-partly-blank-row-read", "profiling.py",
+        '    if "" in counts and any(counts):\n', "    if False:\n",
+        (f"{CLI}::test_malformed_baseline_is_usage_error_before_work[partly blank counts]",),
     ),
     Mutant(
         # a max_depth change passes compare as clean
