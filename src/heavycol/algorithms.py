@@ -49,13 +49,14 @@ a2 is a1 plus two True exits, line 0 and the key condition at lines 13-14,
 with its loop fixed ascending; a1's other return sites 3, 5, 11, 15 and 18
 are a2's 5, 7, 21, 28 and 32.  One frame function, ``_certify``, runs both,
 and it is the listings alone.  A run's plan names the one function that every
-frame below its root goes through: ``_tabled`` (the sub-frame table) for a
+frame below its root goes through: ``_valued`` (value positions, below) for a
 value-position run, ``_memoized`` (the memo cache) for a memoized run, and
-``_certify`` itself for any other.  Each cache wraps ``_certify`` and runs it
-on a miss.  Every frame returns its subtree's ``(value, calls, height)``: the
-verdict, its frames with itself included, and the levels below it.  A parent
-adds each child's ``calls`` and raises its own height to the child's plus
-one, so no frame knows its depth; the root's height is the run's max_depth.
+``_certify`` itself for any other.  Every frame returns its subtree's
+``(value, calls, height)``, the verdict, its frames with itself included and
+the levels below it, followed by its own ``(tag, column)``.  A parent adds
+each child's ``calls`` and raises its own height to the child's plus one, so
+no frame knows its depth; the root's height is the run's max_depth, and the
+root's (tag, column) is the run's witness.
 
 Verdicts carry a witness naming the return site above (tag plus line number
 and the triggering column where one exists) and recursion statistics (calls,
@@ -64,10 +65,9 @@ procedure, the matrix and the column order, so two runs of one matrix give
 equal verdicts.  Verdicts are frozen and shared: a run looks its own up once,
 by (procedure, value, tag, column, calls, max_depth, cache_hits), in a
 bounded cache that builds it, and its witness with the line from the
-procedure's listing, on a miss.  The root finishes last of its frames, so the
-(tag, column) that every frame leaves on the run is the root's.  A caller
-that reports a run's time measures it itself, as the ``check`` and ``bench
-growth`` commands do; a run reads the clock only under a budget.
+procedure's listing, on a miss.  A caller that reports a run's time measures
+it itself, as the ``check`` and ``bench growth`` commands do; a run reads the
+clock only under a budget.
 
 ``run_a1``/``run_a2`` take one validated ``BinaryMatrix``; below that root a
 frame is an int ``mask`` of root row positions (bit i for root row i+1) plus
@@ -82,34 +82,50 @@ occurrence and row order plays no part, exactly as with explicit row lists.
 
 Leaf children are counted, not called.  A child with one column returns the
 line-10/20 heavy test its parent has just passed (True), and under a2 a child
-with one row and more than one column returns True at line 1; neither goes
-through a frame cache.  So the parent adds such a child to its ``calls``,
-makes its own height at least 1 and goes on, and ``_certify`` only ever runs
-on frames with at least two columns (and, under a2, at least two rows) below
-the root.  ``calls``, ``max_depth``, ``cache_hits``, verdicts and witnesses
-are still those of the listings' recursion, leaves included.
+with one row and more than one column returns True at line 1; neither runs
+a frame or enters a memo cache (value positions read it as the constant
+entry below).  So the parent adds such a child to its ``calls``, makes its
+own height at least 1 and goes on, and a frame only ever runs with at least
+two columns (and, under a2, at least two rows) below the root.  ``calls``,
+``max_depth``, ``cache_hits``, verdicts and witnesses are still those of the
+listings' recursion, leaves included.
 
 Value positions.  A plain run (no ``memoize``) of a root with distinct rows
 and n <= 7 columns recurses on row values instead: ``mask`` is the row-set
-rank, bit v set for each row value v (the rows are distinct exactly when its
-popcount is m; a root of more than 2^n rows is not ranked), and ``cols`` is
-the constant tuple of ``O_k``, the values in 0..2^n - 1 with a one in column
-k, from ``matrix.VALUE_COLUMNS``, the table the scans' constraint filter
-reads too.  Every popcount is the one the row positions give, so verdicts,
-witnesses, ``calls`` and ``max_depth`` are unchanged by construction.  A
-non-root frame ``(mask, cols)``, and so what it returns, is then the same
-whichever root of that width it sits under, and a frame of at most 3 columns
-keys one table per process for each (procedure, column order, n).  The table
-keeps what ``_certify`` returned and a hit returns it as it is; a miss stores
-it once the subtree has finished, so a ``BudgetExceeded`` leaves no partial
-entry.  Wider frames below the root, which only roots of 5 to 7 columns
-have, run ``_certify`` each time (tabling them too was measured no faster,
-and its table grows with the scan).  A table's keys lie in the 3- and
-2-column subcubes of its root, C(n,3) * 2^(n-3) subcubes of 8 values and
-C(n,2) * 2^(n-2) of 4, so it holds at most C(n,3) * 2^(n-3) * 255 +
-C(n,2) * 2^(n-2) * 15 entries: 2,400 at n = 4, 11,400 at n = 5, 44,400 at
-n = 6 and 152,880 at n = 7.  Memoized runs (whose ``cache_hits`` must not
-move), duplicate-row roots and roots wider than 7 columns never use a table.
+rank, bit v set for each row value v, and ``cols`` is the constant tuple of
+``O_k``, the values in 0..2^n - 1 with a one in column k, from
+``matrix.VALUE_COLUMNS``, the table the scans' constraint filter reads too.
+The root's rows are distinct exactly when the rank's popcount is m (a root
+of more than 2^n rows is not ranked); a scan's walk, whose rows are distinct
+by construction, hands its rank over, and the run trusts it.  Every popcount
+is the one the row positions give, so verdicts, witnesses, ``calls`` and
+``max_depth`` are unchanged by construction.  A non-root frame
+``(mask, cols)``, and so what it returns, is then the same whichever root of
+that width it sits under.
+
+So one plan per process for each (procedure, column order, n) serves every
+such run, and every unbudgeted run of it shares one context, which no frame
+writes.  ``_valued`` runs a frame of at most 4 columns from the plan's steps
+for its column set, ``(k, O_k, child columns, child entries)`` in processing
+order, and a wider one, which only roots of 5 to 7 columns have, through
+``_certify``.  A child of at most 3 columns is one entry, keyed by its mask
+in the entries of its column set: None when it has no heavy column (the
+line-10/20 test), ``(True, 0, -1)`` when it is empty (no frame, no call, no
+height), ``(True, 1, 0)`` when it is a leaf, and otherwise what its frame
+returned.  So a column step reads both children's entries, then tests them.
+The listings take the heavy test of both children before they run either,
+and reading a child's whole entry first cannot change any returned count:
+an entry is a pure function of its key, filled the same whichever frame
+first reads it, and a parent adds only the entries that the listings would
+have it add.  A miss stores the entry once its subtree has finished, so a
+``BudgetExceeded`` leaves no partial entry.  The keys of a column set of w
+columns lie in its 2^(n-w) subcubes of 2^w values, so the entries hold at
+most the sum over w = 1, 2, 3 of C(n,w) * (2^(n-w) * (2^(2^w) - 1) + 1):
+2,510 at n = 4, 11,665 at n = 5, 45,017 at n = 6 and 154,287 at n = 7.
+Frames of 4 or more columns are no entries (tabling them was measured no
+faster, and such a table grows with the scan).  Memoized runs (whose
+``cache_hits`` must not move), duplicate-row roots and roots wider than 7
+columns never use a plan.
 
 Memoized runs produce identical verdict values.  The cache is private to one
 run, whose algorithm and column order are fixed, and keyed on the frame
@@ -130,7 +146,7 @@ import random
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
+from itertools import combinations, compress
 from typing import Union
 
 from .matrix import VALUE_COLUMNS, BinaryMatrix, column_patterns
@@ -240,26 +256,30 @@ def _orders(order: ColumnOrder, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(_order_for(order, w) for w in range(n + 1))
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=1024)
 def _verdict(
     a2: bool, value: bool, tag: str, col: int | None, calls: int, max_depth: int, cache_hits: int
 ) -> Verdict:
     """A run's verdict: one shared instance per outcome and statistics while
-    it is among the 256 most recently returned; a miss builds it."""
+    it is among the 1,024 most recently returned; a miss builds it.  The
+    bound holds the 855 distinct verdicts of a2 over constrained U(4)."""
     witness = Witness(tag, col, (_A2_LINES if a2 else _A1_LINES)[tag, value])
     return Verdict(value, witness, RecursionStats(calls, max_depth, cache_hits))
 
 
 class _Run:
-    """Mutable per-run context: a1 or a2, memo cache hits, the root's (tag,
-    column) witness, budget deadline, and the run's plan: its column orders,
-    its frame cache (a value-position run's table, a memoized run's private
-    memo cache, or None) and the frame function every frame below the root
-    goes through (``_tabled``, ``_memoized`` or ``_certify``).  `_run` fills
-    every slot but ``witness``, which the frames set, the root last: an
-    ``__init__`` call costs about a twentieth of a U(4) run."""
+    """A run's context: a1 or a2, memo cache hits, budget deadline, and the
+    run's plan: its column orders, its frame cache (a value-position plan's
+    steps, a memoized run's private memo cache, or None) and the frame
+    function every frame below the root goes through (``_valued``,
+    ``_memoized`` or ``_certify``).  Every unbudgeted value-position run of
+    one plan shares one context, which no frame writes."""
 
-    __slots__ = ("a2", "cache_hits", "orders", "deadline", "witness", "table", "recurse")
+    __slots__ = ("a2", "cache_hits", "orders", "deadline", "table", "recurse")
+
+    def __init__(self, a2: bool, orders: tuple, deadline: int | None, table, recurse) -> None:
+        self.a2, self.orders, self.deadline = a2, orders, deadline
+        self.table, self.recurse, self.cache_hits = table, recurse, 0
 
 
 def _heavy(mask: int, count: int, cols) -> bool:
@@ -279,8 +299,8 @@ def _memo_key(mask: int, cols) -> tuple[str, ...]:
 
 def _certify(mask: int, cols: tuple, ctx: _Run) -> tuple:
     """One frame of a1, or of a2 when ``ctx.a2`` adds lines 13-14, with at
-    least two columns: its subtree's ``(value, calls, height)``.  Leaf children
-    are counted without a call."""
+    least two columns: its subtree's ``(value, calls, height)`` and its own
+    ``(tag, column)``.  Leaf children are counted without a call."""
     if ctx.deadline is not None and time.perf_counter_ns() >= ctx.deadline:
         raise BudgetExceeded("run exceeded its wall-clock budget")
     a2 = ctx.a2
@@ -309,12 +329,12 @@ def _certify(mask: int, cols: tuple, ctx: _Run) -> tuple:
             # has one row here, since that is the key condition
             leaves = a2 and ones == 1
             if m0:
-                value, sub_calls, h = recurse(m0, child, ctx)
+                value, sub_calls, h, _, _ = recurse(m0, child, ctx)
                 calls += sub_calls
                 if h >= height:
                     height = h + 1
             if value and m1 and not leaves:
-                value, sub_calls, h = recurse(m1, child, ctx)
+                value, sub_calls, h, _, _ = recurse(m1, child, ctx)
                 calls += sub_calls
                 if h >= height:
                     height = h + 1
@@ -325,22 +345,61 @@ def _certify(mask: int, cols: tuple, ctx: _Run) -> tuple:
             calls += leaves
             if not height:
                 height = 1
-    # the root finishes last, so the witness it leaves is the run's
-    ctx.witness = tag, col
-    return value, calls, height
+    return value, calls, height, tag, col
 
 
-def _tabled(mask: int, cols: tuple, ctx: _Run) -> tuple:
-    """A non-root frame of a value-position run: one of more than _TABLE_MAX_N
-    columns runs ``_certify``, and a narrower one returns what ``_certify``
-    returned for it, kept in the run's table once its subtree had finished."""
-    if len(cols) > _TABLE_MAX_N:
+# A child's entry when it has a heavy column and is a leaf (one column, or
+# one row under a2), and when it is empty: no frame, no call, and a height
+# of -1, so that its parent's height is not raised.
+_LEAF = (True, 1, 0)
+_EMPTY = (True, 0, -1)
+
+
+def _valued(mask: int, cols: tuple, ctx: _Run) -> tuple:
+    """A frame of a value-position run, its root included.  One of more than
+    _TABLE_MAX_N + 1 columns runs ``_certify``; a narrower one runs its
+    plan's steps and reads each child from its one entry (see the module
+    docstring), storing a missing entry once the child's subtree has
+    finished."""
+    if len(cols) > _TABLE_MAX_N + 1:
         return _certify(mask, cols, ctx)
-    key = (mask, cols)
-    entry = ctx.table.get(key)
-    if entry is None:
-        entry = ctx.table[key] = _certify(mask, cols, ctx)
-    return entry
+    if ctx.deadline is not None and time.perf_counter_ns() >= ctx.deadline:
+        raise BudgetExceeded("run exceeded its wall-clock budget")
+    a2 = ctx.a2
+    calls, height = 1, 0
+    for k, column, child, entries in ctx.table[cols]:
+        m1 = mask & column
+        m0 = mask ^ m1
+        if a2 and m0.bit_count() == 1:
+            return True, calls, height, KEY_CONDITION, k
+        try:
+            e0 = entries[m0]
+            e1 = entries[m1]
+        except KeyError:
+            for side in (m0, m1):
+                if side not in entries:
+                    count = side.bit_count()
+                    if not _heavy(side, count, child):
+                        entries[side] = None
+                    elif len(child) == 1 or a2 and count == 1:
+                        entries[side] = _LEAF
+                    else:
+                        entries[side] = _valued(side, child, ctx)[:3]
+            e0, e1 = entries[m0], entries[m1]
+        if e0 is None or e1 is None:
+            return False, calls, height, NOHEAVY_CHILD, k
+        value, sub_calls, h = e0
+        calls += sub_calls
+        if h >= height:
+            height = h + 1
+        if value:
+            value, sub_calls, h = e1
+            calls += sub_calls
+            if h >= height:
+                height = h + 1
+        if not value:
+            return False, calls, height, CHILD_FALSE, k
+    return True, calls, height, EXHAUSTED_TRUE, None
 
 
 def _memoized(mask: int, cols: tuple, ctx: _Run) -> tuple:
@@ -353,21 +412,34 @@ def _memoized(mask: int, cols: tuple, ctx: _Run) -> tuple:
         ctx.cache_hits += 1
         return hit
     entry = _certify(mask, cols, ctx)
-    ctx.table[key] = (True, 1, 0) if entry[0] else (False, 1, 0)
+    ctx.table[key] = (True, 1, 0, None, None) if entry[0] else (False, 1, 0, None, None)
     return entry
 
 
 # Roots up to this width with distinct rows recurse on value positions; below
-# such a root, frames of up to _TABLE_MAX_N columns are served from the table.
+# such a root, frames of up to _TABLE_MAX_N columns are read from entries.
 _VALUE_MAX_N = 7
 _TABLE_MAX_N = 3
 
 
 @lru_cache(maxsize=64)
-def _value_plan(a2: bool, order: ColumnOrder, n: int) -> tuple[tuple, dict]:
-    """The column orders and the sub-frame table shared by every
-    value-position run of one procedure, column order and width."""
-    return _orders(order, n), {}
+def _value_plan(a2: bool, order: ColumnOrder, n: int) -> _Run:
+    """The unbudgeted context shared by every value-position run of one
+    procedure, column order and width.  Its table maps each column set of 2
+    to _TABLE_MAX_N + 1 of the root's ``O_k`` to its steps in processing
+    order, ``(k, O_k, child columns, child entries)``; each child column set
+    has one entries dict, keyed by the child's mask, that all its parents
+    share."""
+    orders = _orders(order, n)
+    entries, steps = {}, {}
+    for width in range(2, min(n, _TABLE_MAX_N + 1) + 1):
+        for cols in combinations(VALUE_COLUMNS[n], width):
+            column_steps = []
+            for k in orders[width]:
+                child = cols[: k - 1] + cols[k:]
+                column_steps.append((k, cols[k - 1], child, entries.setdefault(child, {0: _EMPTY})))
+            steps[cols] = tuple(column_steps)
+    return _Run(a2, orders, None, steps, _valued)
 
 
 def _run(
@@ -381,20 +453,27 @@ def _run(
         deadline = time.perf_counter_ns() + budget_ns
     rows, n = matrix.rows, matrix.n
     m = len(rows)
-    # the row-set rank, whose popcount is m exactly when the rows are
-    # distinct, which more than 2^n rows never are
-    mask = 0
-    if n <= _VALUE_MAX_N and not memoize and m <= 1 << n:
-        for r in rows:
-            mask |= 1 << r
-    if mask.bit_count() == m:
-        orders, table = _value_plan(a2, order, n)
-        recurse, cols = _tabled, VALUE_COLUMNS[n]
+    mask = None
+    if n <= _VALUE_MAX_N and not memoize:
+        # a scan's walk hands over the row-set rank; another root builds it,
+        # and its popcount is m exactly when the rows are distinct, which
+        # more than 2^n rows never are
+        mask = matrix._rank
+        if mask is None and m <= 1 << n:
+            mask = 0
+            for r in rows:
+                mask |= 1 << r
+            if mask.bit_count() != m:
+                mask = None
+    if mask is not None:
+        ctx, frame, cols = _value_plan(a2, order, n), _valued, VALUE_COLUMNS[n]
+        if deadline is not None:
+            ctx = _Run(a2, ctx.orders, deadline, ctx.table, _valued)
     else:
         # a memoized run's cache is private to it, and its root is not keyed:
         # no other frame has the root's width; sorted rows make repeats hit
-        orders = _orders(order, n)
         table, recurse = ({}, _memoized) if memoize else (None, _certify)
+        ctx, frame = _Run(a2, _orders(order, n), deadline, table, recurse), _certify
         mask = (1 << m) - 1
         cols = column_patterns(sorted(rows) if memoize else rows, n)
     # checked here once, since a root that ends at a base case runs no frame
@@ -405,11 +484,7 @@ def _run(
         return _verdict(a2, True, M1_BASE, None, 1, 0, 0)
     if n == 1:
         return _verdict(a2, _heavy(mask, m, cols), N1_BASE, 1, 1, 0, 0)
-    ctx = object.__new__(_Run)
-    ctx.a2, ctx.orders, ctx.deadline, ctx.table, ctx.recurse = a2, orders, deadline, table, recurse
-    ctx.cache_hits = 0
-    value, calls, height = _certify(mask, cols, ctx)
-    tag, col = ctx.witness
+    value, calls, height, tag, col = frame(mask, cols, ctx)
     return _verdict(a2, value, tag, col, calls, height, ctx.cache_hits)
 
 

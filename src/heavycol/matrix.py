@@ -59,6 +59,10 @@ class BinaryMatrix:
 
     rows: tuple[int, ...]
     n: int
+    # The row-set rank (bit v set for each row value v) that a scan's walk
+    # hands to the recursion with the rows it drew; not a field, so it plays
+    # no part in ==, hash, repr or asdict, and a copy drops it.
+    _rank = None
 
     def __init__(self, rows, n: int) -> None:
         # checked as locals, then written straight into the instance dict,
@@ -80,6 +84,9 @@ class BinaryMatrix:
         fields["rows"] = rows
         fields["n"] = n
 
+    def __reduce__(self):
+        return BinaryMatrix, (self.rows, self.n)
+
     @property
     def m(self) -> int:
         return len(self.rows)
@@ -89,13 +96,16 @@ class BinaryMatrix:
         return (self.rows[i - 1] >> (k - 1)) & 1
 
 
-def _valid_matrix(rows: tuple[int, ...], n: int) -> BinaryMatrix:
+def _valid_matrix(rows: tuple[int, ...], n: int, rank: int | None = None) -> BinaryMatrix:
     """A BinaryMatrix built without ``__init__``'s checks, for a caller whose
-    rows are by construction a non-empty tuple of values below 2^n, 1 <= n <= 63."""
+    rows are by construction a non-empty tuple of values below 2^n, 1 <= n <= 63.
+    A given ``rank`` must be the sum of ``1 << r`` over distinct rows: the
+    recursion trusts it in place of its own."""
     matrix = object.__new__(BinaryMatrix)
     fields = matrix.__dict__
     fields["rows"] = rows
     fields["n"] = n
+    fields["_rank"] = rank
     return matrix
 
 

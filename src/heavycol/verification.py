@@ -29,7 +29,9 @@ Inspectors read the names they scan with (`run_a1`, `heavy_columns`,
 `find_unpaired`, ...) from this module's globals on every call: the
 benchmark's traced pass replaces them, and `BinaryMatrix` too, with plain
 wrapper functions.  The walk and the random draws build their matrices with
-`matrix._valid_matrix`, skipping checks that their rows meet by construction.
+`matrix._valid_matrix`, skipping checks that their rows meet by construction,
+and hand over the row-set rank they already hold (a draw holds one only when
+its spec has constraints), so the recursion does not rebuild it.
 
 Reports are deterministic byte-for-byte for a fixed spec, whatever the
 worker count: work is split into contiguous rank ranges, partial results are
@@ -195,8 +197,11 @@ def _draw_random(spec: UniverseSpec, index: int) -> BinaryMatrix:
     for _ in range(100_000):
         m = spec.m_min + bisect_right(bounds, rng.randrange(bounds[-1]))
         rows = tuple(sorted(rng.sample(range(space), m)))
-        if not masks or _passes_constraints(masks, sum(1 << r for r in rows)):
+        if not masks:
             return _valid_matrix(rows, spec.n)
+        rank = sum(1 << r for r in rows)
+        if _passes_constraints(masks, rank):
+            return _valid_matrix(rows, spec.n, rank)
     raise ValueError(f"constraints reject everything near seed {spec.seed}:{index}")
 
 
@@ -216,7 +221,7 @@ def _iter_range(spec: UniverseSpec, lo: int, hi: int) -> Iterator[BinaryMatrix]:
                     if not rank & mask:
                         break
                 else:
-                    yield _valid_matrix(low[rank & 255] + high[rank >> 8], n)
+                    yield _valid_matrix(low[rank & 255] + high[rank >> 8], n, rank)
 
 
 def enumerate_universe(spec: UniverseSpec) -> Iterator[BinaryMatrix]:

@@ -136,9 +136,17 @@ def test_order_validation():
 
 
 def test_budget_exceeded():
-    cube = BinaryMatrix(tuple(range(2**7)), 7)
+    # two all-ones rows of 9 columns: no table serves them, and a plain run
+    # visits 623,530 frames, far more than 10 ms of them
+    ones = BinaryMatrix((511, 511), 9)
     with pytest.raises(BudgetExceeded):
-        run_a1(cube, budget_ns=10_000_000)
+        run_a1(ones, budget_ns=10_000_000)
+    # a 1 ns budget is spent before any frame runs, also on value positions:
+    # the 7-cube below its 5- to 7-column frames and a 4-column root
+    for matrix in (BinaryMatrix(tuple(range(2**7)), 7), BinaryMatrix((1, 2, 4, 8, 15), 4)):
+        for run in (run_a1, run_a2):
+            with pytest.raises(BudgetExceeded):
+                run(matrix, budget_ns=1)
 
 
 @given(matrices(max_n=4, max_m=6), st.integers(0, 2**32))

@@ -2,16 +2,18 @@
 
 `run_a1`/`run_a2` recurse on a bitmask below a validated root: of root rows
 in general, and of row values for a plain run of a distinct-row root with at
-most 7 columns, whose sub-frames of 3 or 2 columns the process-wide tables
-serve.  The reference here transcribes the two listings over plain sorted
+most 7 columns, whose children of 1 to 3 columns are read from process-wide
+entries.  The reference here transcribes the two listings over plain sorted
 row tuples, with its own reduce and column count and no library matrix
 primitive.  Both must agree on the verdict, the witness (tag, column, line)
 and the recursion statistics (calls, max_depth, cache_hits) on every input
-below, and the tables must stay within their per-width key bound.
+below, and the entries must be the reference's and stay within their
+per-width key bound.
 """
 
 import random
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from functools import cache
 from itertools import permutations
@@ -37,6 +39,7 @@ from heavycol.algorithms import (
     run_a2,
     shuffled_order,
 )
+from heavycol.matrix import _valid_matrix
 from heavycol.structure import reduce
 
 
@@ -254,34 +257,102 @@ def test_fresh_and_warm_tables_agree():
     assert sum(a1[4] for a1, _ in fresh) == 404_661
     assert _value_plan.cache_info().currsize == 2
     for a2 in (False, True):
-        assert 0 < len(_value_plan(a2, ASCENDING, 4)[1]) <= _table_bound(4) == 2_400
+        assert 0 < len(_table(a2, ASCENDING, 4)) <= _table_bound(4) == 2_510
+
+
+def _entries(a2, order, n):
+    """Each child column set of a plan, with its entries (mask -> entry)."""
+    plan = _value_plan(a2, order, n)
+    return {child: entries for steps in plan.table.values() for _, _, child, entries in steps}
+
+
+def _table(a2, order, n):
+    """Every entry of a plan, keyed by (child columns, mask)."""
+    return {
+        (cols, mask): entry
+        for cols, entries in _entries(a2, order, n).items()
+        for mask, entry in entries.items()
+    }
+
+
+def _width_bound(n, width):
+    """Most entries the child column sets of one width hold below n-column
+    roots: each of the C(n, width) sets keeps the empty mask and the nonempty
+    sets of values of each of its 2^(n - width) subcubes of 2^width values
+    (the deleted columns' values fixed)."""
+    return comb(n, width) * (2 ** (n - width) * (2 ** 2**width - 1) + 1)
+
+
+def _table_bound(n):
+    """Most entries a plan of n-column roots holds: children have 1 to 3 columns."""
+    return sum(_width_bound(n, width) for width in (1, 2, 3))
+
+
+# O_k for n = 4: the values with a one in column k
+_O4 = tuple(sum(1 << v for v in range(16) if v >> k & 1) for k in range(4))
+
+
+def _ref_entry(algo, order, mask, cols):
+    """A child's entry by the reference: (True, 0, -1) when it is empty, None
+    when it has no heavy column, else the verdict, calls and height of its
+    rows projected to its columns, run as a root."""
+    if not mask:
+        return (True, 0, -1)
+    values = [v for v in range(16) if mask >> v & 1]
+    rows = tuple(sum(1 << j for j, c in enumerate(cols) if c >> v & 1) for v in values)
+    if _no_heavy(rows, len(cols)):
+        return None
+    value, *_, calls, max_depth, _ = _reference(algo, BinaryMatrix(rows, len(cols)), order)
+    return (value, calls, max_depth)
+
+
+def _read_entries(algo, order):
+    """The entries that runs over U(4) read: a root, and each child that runs
+    its own frame (not empty, not a leaf, with a heavy column), reads both
+    children of each column it reaches until it returns.  Each child set also
+    keeps its empty entry."""
+    a2 = algo == "a2"
+    entries = {}
+    frames = [(rank, _O4) for rank in range(1, 2**16) if not (a2 and rank.bit_count() == 1)]
+    while frames:
+        mask, cols = frames.pop()
+        for k in _order_for(order, len(cols)):
+            m1 = mask & cols[k - 1]
+            m0 = mask ^ m1
+            if a2 and m0.bit_count() == 1:
+                break
+            child = cols[: k - 1] + cols[k:]
+            entries.setdefault((child, 0), (True, 0, -1))
+            pair = []
+            for side in (m0, m1):
+                if (child, side) not in entries:
+                    entry = entries[child, side] = _ref_entry(algo, order, side, child)
+                    leaf = len(child) == 1 or a2 and side.bit_count() == 1
+                    if entry is not None and side and not leaf:
+                        frames.append((side, child))
+                pair.append(entries[child, side])
+            if None in pair or not (pair[0][0] and pair[1][0]):
+                break
+    return entries
 
 
 def test_table_entries_are_their_frames_run_as_roots():
-    # an entry is what its frame returned: the verdict, calls and height of
-    # the frame's rows projected to its remaining columns, run as a root
+    # the entries that runs over U(4) leave are exactly those they read, each
+    # what its child returns as the reference runs it
     explicit = explicit_order((3, 1, 4, 2))
     _value_plan.cache_clear()
     for m in _u4():
         _fast("a1", m), _fast("a1", m, explicit), _fast("a2", m)
-    checked = 0
+    checked = Counter()
     for algo, order in (("a1", ASCENDING), ("a1", explicit), ("a2", ASCENDING)):
-        table = _value_plan(algo == "a2", order, 4)[1]
-        for (mask, cols), entry in table.items():
-            values = [v for v in range(16) if mask >> v & 1]
-            rows = tuple(sum(1 << j for j, c in enumerate(cols) if c >> v & 1) for v in values)
-            frame = BinaryMatrix(rows, len(cols))
-            value, *_, calls, max_depth, _ = _reference(algo, frame, order)
-            assert entry == (value, calls, max_depth), (algo, order, rows, len(cols))
-            checked += 1
-    assert checked == 3_555
-
-
-def _table_bound(n):
-    """Most keys a table of n-column roots can hold: a tabled frame has 3 or 2
-    columns and a nonempty set of the 8 or 4 values of one subcube (the
-    deleted columns' values fixed)."""
-    return comb(n, 3) * 2 ** (n - 3) * 255 + comb(n, 2) * 2 ** (n - 2) * 15
+        table = _table(algo == "a2", order, 4)
+        want = _read_entries(algo, order)
+        assert sorted(set(table) ^ set(want)) == []
+        assert [key for key, entry in table.items() if entry != want[key]] == []
+        checked.update(len(cols) for cols, _ in table)
+    for width, count in checked.items():
+        assert 0 < count <= 3 * _width_bound(4, width)
+    assert sorted(checked) == [1, 2, 3]
 
 
 def _wide_runs(n):
@@ -334,17 +405,23 @@ def test_tables_hold_frames_of_at_most_3_columns():
     plans = {(algo == "a2", order, matrix.n) for matrix, algo, order in _wide_cases()}
     assert _value_plan.cache_info().currsize == len(plans)
     for a2, order, n in plans:
-        table = _value_plan(a2, order, n)[1]
-        assert max(len(cols) for _, cols in table) == 3
-        assert len(table) <= _table_bound(n)
-    assert [_table_bound(n) for n in (5, 6, 7)] == [11_400, 44_400, 152_880]
+        entries = _entries(a2, order, n)
+        # children of 1 to 3 columns hold entries beyond the empty one; 4-column
+        # frames run each time and are nobody's entries
+        assert {len(cols) for cols, held in entries.items() if len(held) > 1} == {1, 2, 3}
+        per_width = Counter()
+        for cols, held in entries.items():
+            per_width[len(cols)] += len(held)
+        for width, count in per_width.items():
+            assert count <= _width_bound(n, width)
+    assert [_table_bound(n) for n in (4, 5, 6, 7)] == [2_510, 11_665, 45_017, 154_287]
 
 
 def test_tables_never_serve_duplicate_rows_or_memoized_runs():
     _value_plan.cache_clear()
     for m in enumerate_universe(UniverseSpec(n=3)):
         run_a1(m), run_a2(m)
-    tables = {a2: dict(_value_plan(a2, ASCENDING, 3)[1]) for a2 in (False, True)}
+    tables = {a2: _table(a2, ASCENDING, 3) for a2 in (False, True)}
     assert all(tables.values())
     rng = random.Random(5)
     for _ in range(300):
@@ -364,29 +441,51 @@ def test_tables_never_serve_duplicate_rows_or_memoized_runs():
         for memoize in (False, True):
             run_a1(tall, memoize=memoize), run_a2(tall, memoize=memoize)
     assert _value_plan.cache_info().currsize == 2
-    assert {a2: _value_plan(a2, ASCENDING, 3)[1] for a2 in (False, True)} == tables
+    assert {a2: _table(a2, ASCENDING, 3) for a2 in (False, True)} == tables
 
 
 def test_threads_sharing_a_table_agree():
     # entries are immutable and equal whichever run writes them, so runs
-    # that miss the same key at once may both store it; none sees a wrong one
+    # that miss the same key at once may both store it; none sees a wrong one.
+    # Unbudgeted runs of one plan also share its context, so each verdict is
+    # compared whole, witness included
     matrices = _u4_slice(1500, 8)
+
+    def runs(ms):
+        return [(_fast("a1", m), _fast("a2", m)) for m in ms]
+
     _value_plan.cache_clear()
-    expected = [_fast("a2", m) for m in matrices]
+    expected = runs(matrices)
     _value_plan.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [
-                pool.submit(lambda ms: [_fast("a2", m) for m in ms], matrices[i:] + matrices[:i])
-                for i in (0, 400, 800, 1200)
-            ]
+            futures = [pool.submit(runs, matrices[i:] + matrices[:i]) for i in (0, 400, 800, 1200)]
             results = [f.result(timeout=120) for f in futures]
     finally:
         sys.setswitchinterval(interval)
     for i, got in zip((0, 400, 800, 1200), results):
         assert got == expected[i:] + expected[:i]
+
+
+def test_roots_that_never_read_a_handed_rank():
+    # a scan's walk hands its root's row-set rank over, and a plain run up to
+    # 7 columns trusts it.  A hand-built root has none; memoized and 8-column
+    # roots run on row positions, so even a wrong rank handed to them changes
+    # nothing; a duplicate-row root is never walked, and the rank it builds
+    # itself sends it to row positions
+    rng = random.Random(17)
+    for _ in range(120):
+        n = rng.randint(2, 8)
+        rows = tuple(sorted(rng.sample(range(2**n), rng.randint(2, min(9, 2**n)))))
+        built = BinaryMatrix(rows, n)
+        assert built._rank is None and "_rank" not in vars(built)
+        wrong = _valid_matrix(rows, n, sum(1 << r for r in rows) ^ 1)
+        runs = PLAIN_AND_MEMO if n == 8 else [run for run in PLAIN_AND_MEMO if run[2]]
+        assert _mismatches([wrong], runs) == []
+        duplicated = BinaryMatrix(rows + rows[-1:], n)
+        assert _mismatches([duplicated], PLAIN_AND_MEMO) == []
 
 
 def test_full_cube_up_to_6():

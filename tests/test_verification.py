@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import pickle
 import random
 from collections import Counter
 from functools import partial
@@ -17,6 +19,7 @@ from heavycol import (
     UniverseSpec,
 )
 from heavycol import BinaryMatrix, matrix_properties, matrix_to_text, verification
+from heavycol.algorithms import run_a1, run_a2, shuffled_order
 from heavycol.cli import to_json
 from heavycol.verification import MAX_WORKERS, ScanWitness, UniverseTooLarge
 
@@ -298,6 +301,28 @@ def test_walk_matrices_equal_checked_ones():
         for spec in specs:
             walked = list(enumerate_universe(spec))
             assert walked and [m for m in walked if m != BinaryMatrix(m.rows, m.n)] == []
+
+
+def test_walk_matrices_hand_over_their_rank():
+    # the walk, and the random draws of a constrained spec, hand the
+    # recursion the row-set rank they hold; it is no field, so each matrix
+    # stays the checked matrix of its rows as a value, and runs alike
+    specs = [UniverseSpec(n=n) for n in (1, 2, 3)] + [constrained(3)]
+    specs += [UniverseSpec(n=n, mode="random", samples=60, seed=n) for n in (4, 5)]
+    specs += [constrained(n, mode="random", samples=60, seed=n) for n in (4, 5)]
+    runs = [run_a1, run_a2, partial(run_a1, memoize=True), partial(run_a1, order=shuffled_order(2))]
+    for spec in specs:
+        handed = spec.mode == "exhaustive" or spec.forbid_all_zero_column
+        for walked in enumerate_universe(spec):
+            built = BinaryMatrix(walked.rows, walked.n)
+            assert walked._rank == (sum(1 << r for r in walked.rows) if handed else None)
+            assert walked == built and hash(walked) == hash(built) and repr(walked) == repr(built)
+            assert dataclasses.asdict(walked) == dataclasses.asdict(built)
+            copy = dataclasses.replace(walked)
+            assert copy == built and copy._rank is None
+            assert pickle.dumps(walked) == pickle.dumps(built)
+            assert pickle.loads(pickle.dumps(walked)) == built
+            assert [run(walked) for run in runs] == [run(built) for run in runs]
 
 
 def _rank_filter_mismatches(spec, row_sets):

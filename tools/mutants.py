@@ -48,8 +48,14 @@ VERIFY = "tests/test_verification.py"
 MUTANTS = [
     Mutant(
         "key-condition-on-m1", "algorithms.py",
-        "if a2 and zeros == 1:", "if a2 and count - zeros == 1:",
+        "if a2 and m0.bit_count() == 1:", "if a2 and m1.bit_count() == 1:",
         (f"{ALGOS}::test_a2_key_condition",),
+    ),
+    Mutant(
+        # the same on row positions, which memoized and duplicate-row runs take
+        "key-condition-on-m1-row-positions", "algorithms.py",
+        "if a2 and zeros == 1:", "if a2 and count - zeros == 1:",
+        (f"{FAST}::test_duplicate_rows_and_row_order",),
     ),
     Mutant(
         "key-condition-at-depth-0-only", "algorithms.py",
@@ -78,14 +84,15 @@ MUTANTS = [
     Mutant(
         # a memo hit returns its verdict as no call
         "memo-hit-not-counted", "algorithms.py",
-        "ctx.table[key] = (True, 1, 0) if entry[0] else (False, 1, 0)",
-        "ctx.table[key] = (True, 0, 0) if entry[0] else (False, 0, 0)",
+        "ctx.table[key] = (True, 1, 0, None, None) if entry[0] else (False, 1, 0, None, None)",
+        "ctx.table[key] = (True, 0, 0, None, None) if entry[0] else (False, 0, 0, None, None)",
         (f"{FAST}::test_memo_key_is_the_projected_row_multiset",
          f"{FAST}::test_full_cube_growth_follows_its_recurrences"),
     ),
     Mutant(
         "memo-miss-not-stored", "algorithms.py",
-        "    ctx.table[key] = (True, 1, 0) if entry[0] else (False, 1, 0)\n", "",
+        "    ctx.table[key] = (True, 1, 0, None, None) if entry[0] else (False, 1, 0, None, None)\n",
+        "",
         (f"{FAST}::test_memo_key_is_the_projected_row_multiset",
          f"{FAST}::test_full_cube_growth_follows_its_recurrences",
          f"{FAST}::test_all_of_small_universes[3]"),
@@ -93,7 +100,8 @@ MUTANTS = [
     Mutant(
         # a memo hit returns the subtree totals of the miss that stored it
         "memo-hit-replays-subtree", "algorithms.py",
-        "ctx.table[key] = (True, 1, 0) if entry[0] else (False, 1, 0)", "ctx.table[key] = entry",
+        "ctx.table[key] = (True, 1, 0, None, None) if entry[0] else (False, 1, 0, None, None)",
+        "ctx.table[key] = entry",
         (f"{FAST}::test_memo_key_is_the_projected_row_multiset",
          f"{FAST}::test_full_cube_growth_follows_its_recurrences"),
     ),
@@ -101,20 +109,33 @@ MUTANTS = [
         # one frame function serves a1 and a2, so both visit 1 before 0
         "children-1-before-0", "algorithms.py",
         "            if m0:\n"
-        "                value, sub_calls, h = recurse(m0, child, ctx)\n"
+        "                value, sub_calls, h, _, _ = recurse(m0, child, ctx)\n"
         "                calls += sub_calls\n"
         "                if h >= height:\n"
         "                    height = h + 1\n"
         "            if value and m1 and not leaves:\n"
-        "                value, sub_calls, h = recurse(m1, child, ctx)\n",
+        "                value, sub_calls, h, _, _ = recurse(m1, child, ctx)\n",
         "            if m1 and not leaves:\n"
-        "                value, sub_calls, h = recurse(m1, child, ctx)\n"
+        "                value, sub_calls, h, _, _ = recurse(m1, child, ctx)\n"
         "                calls += sub_calls\n"
         "                if h >= height:\n"
         "                    height = h + 1\n"
         "            if value and m0:\n"
-        "                value, sub_calls, h = recurse(m0, child, ctx)\n",
+        "                value, sub_calls, h, _, _ = recurse(m0, child, ctx)\n",
         (f"{FAST}::test_all_of_small_universes[3]", f"{FAST}::test_a1_every_explicit_order[3]"),
+    ),
+    Mutant(
+        # value positions read the one child's entry in the zero child's place
+        "entries-1-before-0", "algorithms.py",
+        "            e0 = entries[m0]\n            e1 = entries[m1]\n",
+        "            e0 = entries[m1]\n            e1 = entries[m0]\n",
+        (f"{FAST}::test_all_of_small_universes[3]", f"{FAST}::test_a1_every_explicit_order[3]"),
+    ),
+    Mutant(
+        # a child without a heavy column ends the frame only when its sibling has none too
+        "no-heavy-needs-both-children", "algorithms.py",
+        "if e0 is None or e1 is None:", "if e0 is None and e1 is None:",
+        (f"{FAST}::test_all_of_small_universes[2]",),
     ),
     Mutant(
         # the zero child's height is taken as the parent's
@@ -140,11 +161,35 @@ MUTANTS = [
         (f"{FAST}::test_all_of_small_universes[2]", f"{FAST}::test_full_cube_up_to_6"),
     ),
     Mutant(
+        "leaf-entry-not-counted", "algorithms.py",
+        "_LEAF = (True, 1, 0)", "_LEAF = (True, 0, 0)",
+        (f"{FAST}::test_all_of_small_universes[2]", f"{FAST}::test_full_cube_up_to_6"),
+    ),
+    Mutant(
+        "leaf-entry-depth-not-raised", "algorithms.py",
+        "_LEAF = (True, 1, 0)", "_LEAF = (True, 1, -1)",
+        (f"{FAST}::test_all_of_small_universes[2]", f"{FAST}::test_full_cube_up_to_6"),
+    ),
+    Mutant(
+        # an empty child reads as a leaf's height; no count shows it, as the
+        # other child raises the parent at least as far, but the entry does
+        "empty-entry-height-0", "algorithms.py",
+        "_EMPTY = (True, 0, -1)", "_EMPTY = (True, 0, 0)",
+        (f"{FAST}::test_table_entries_are_their_frames_run_as_roots",),
+    ),
+    Mutant(
+        # a2's one-row child runs its frame instead of returning True at line 1
+        "a2-one-row-leaf-entry-dropped", "algorithms.py",
+        "elif len(child) == 1 or a2 and count == 1:", "elif len(child) == 1:",
+        (f"{FAST}::test_all_of_small_universes[3]", f"{FAST}::test_all_of_u4[a2]"),
+    ),
+    Mutant(
         # the deadline is taken again once the root is built, so that build runs free
         "budget-clock-after-root-build", "algorithms.py",
-        "    if deadline is not None and time.perf_counter_ns() >= deadline:\n",
-        "    if deadline is not None:\n        deadline = time.perf_counter_ns() + budget_ns\n"
-        "    if deadline is not None and time.perf_counter_ns() >= deadline:\n",
+        "        cols = column_patterns(sorted(rows) if memoize else rows, n)\n",
+        "        cols = column_patterns(sorted(rows) if memoize else rows, n)\n"
+        "        if deadline is not None:\n"
+        "            deadline = ctx.deadline = time.perf_counter_ns() + budget_ns\n",
         (f"{PROF}::test_budget_counts_the_root_build",),
     ),
     Mutant(
@@ -162,23 +207,41 @@ MUTANTS = [
         (f"{FAST}::test_tables_hold_frames_of_at_most_3_columns",),
     ),
     Mutant(
-        # 3-column frames run `_certify` each time: the table holds only 2-column ones
+        # 4-column frames run `_certify`: 3-column children are never read from entries
         "table-width-off-by-one", "algorithms.py",
-        "if len(cols) > _TABLE_MAX_N:", "if len(cols) >= _TABLE_MAX_N:",
+        "if len(cols) > _TABLE_MAX_N + 1:", "if len(cols) >= _TABLE_MAX_N + 1:",
         (f"{FAST}::test_tables_hold_frames_of_at_most_3_columns",),
     ),
     Mutant(
-        # frames with the same value set but other columns share an entry
+        # children with the same value set but other columns share an entry
         "table-key-drops-cols", "algorithms.py",
-        "key = (mask, cols)", "key = mask",
+        "entries.setdefault(child, {0: _EMPTY})", "entries.setdefault(len(child), {0: _EMPTY})",
         (f"{FAST}::test_all_of_small_universes[3]", f"{FAST}::test_fresh_and_warm_tables_agree"),
     ),
     Mutant(
-        "table-hit-skips-height", "algorithms.py",
-        "        entry = ctx.table[key] = _certify(mask, cols, ctx)\n    return entry\n",
-        "        return ctx.table.setdefault(key, _certify(mask, cols, ctx))\n"
-        "    return entry[0], entry[1], 0\n",
+        "table-entry-drops-height", "algorithms.py",
+        "entries[side] = _valued(side, child, ctx)[:3]",
+        "entries[side] = _valued(side, child, ctx)[:2] + (0,)",
         (f"{FAST}::test_all_of_small_universes[3]", f"{FAST}::test_a1_every_explicit_order[3]"),
+    ),
+    Mutant(
+        # a memoized root recurses on value positions, where no memo cache is hit
+        "memoized-root-on-values", "algorithms.py",
+        "if n <= _VALUE_MAX_N and not memoize:", "if n <= _VALUE_MAX_N:",
+        (f"{FAST}::test_roots_that_never_read_a_handed_rank",
+         f"{FAST}::test_full_cube_growth_follows_its_recurrences"),
+    ),
+    Mutant(
+        # the walk hands over a rank with row 0 added
+        "walk-hands-rank-or-1", "verification.py",
+        "high[rank >> 8], n, rank)", "high[rank >> 8], n, rank | 1)",
+        (f"{VERIFY}::test_walk_matrices_hand_over_their_rank", f"{FAST}::test_all_of_u4[a1]"),
+    ),
+    Mutant(
+        # a constrained draw keeps its rank to itself
+        "draw-hands-no-rank", "verification.py",
+        "return _valid_matrix(rows, spec.n, rank)", "return _valid_matrix(rows, spec.n)",
+        (f"{VERIFY}::test_walk_matrices_hand_over_their_rank",),
     ),
     Mutant(
         # the walk yields every rank in the row-count range, constraints or not
@@ -197,7 +260,7 @@ MUTANTS = [
         # the verdict cache keyed without max_depth: a run gets the first
         # verdict that differs from its own in max_depth alone
         "verdict-key-drops-max-depth", "algorithms.py",
-        "@lru_cache(maxsize=256)\ndef _verdict(\n",
+        "@lru_cache(maxsize=1024)\ndef _verdict(\n",
         "def _verdict(a2, value, tag, col, calls, max_depth, cache_hits, _seen={}):\n"
         "    key = (a2, value, tag, col, calls, cache_hits)\n"
         "    if key not in _seen:\n"
